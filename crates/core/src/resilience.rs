@@ -26,61 +26,20 @@
 //!
 //! [`simulate_hijack`] maps a [`TreePolicy`] onto the equivalent
 //! [`ScenarioPolicy`] (security third, no ROV, simplex-asymmetric
-//! stubs — the paper's baseline) and runs
-//! [`crate::scenario::simulate_scenario`] with
+//! stubs — the paper's baseline) and runs the
+//! [`sbgp_routing::scenario_kernel`] with
 //! [`AttackModel::OriginHijack`]. Other attacks, rankings, and ROV
 //! live behind the general API.
 
-use crate::scenario::simulate_scenario;
 use sbgp_asgraph::{AsGraph, AsId};
-use sbgp_routing::{AttackModel, ScenarioPolicy, SecureSet, SecurityRank, TieBreaker, TreePolicy};
+use sbgp_routing::{
+    AttackModel, ScenarioKernel, ScenarioPolicy, ScenarioTally, SecureSet, SecurityRank,
+    TieBreaker, TreePolicy,
+};
 
-pub use crate::scenario::ConvergenceError;
-
-/// Result of one hijack simulation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HijackOutcome {
-    /// ASes whose chosen route for the prefix leads to the attacker.
-    pub deceived: usize,
-    /// ASes that still reach the true victim.
-    pub reached_victim: usize,
-    /// ASes with no route to the prefix at all (neither origin
-    /// reachable, or every candidate was rejected by validation).
-    pub unreachable: usize,
-}
-
-impl HijackOutcome {
-    /// Fraction of (non-origin) ASes deceived.
-    pub fn deceived_fraction(&self) -> f64 {
-        let total = self.deceived + self.reached_victim + self.unreachable;
-        if total == 0 {
-            0.0
-        } else {
-            self.deceived as f64 / total as f64
-        }
-    }
-}
-
-/// Outcome of a [`mean_deceived_fraction`] sweep: the headline mean
-/// plus an explicit account of any (attacker, victim) pairs whose
-/// fixpoint had to be quarantined.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DeceptionSample {
-    /// Mean deceived fraction over the pairs that converged (`0.0`
-    /// when none did).
-    pub mean: f64,
-    /// How many sampled pairs converged and contributed to the mean.
-    pub sampled: usize,
-    /// Pairs that exhausted the iteration budget, in sample order.
-    pub quarantined: Vec<ConvergenceError>,
-}
-
-impl DeceptionSample {
-    /// Did every sampled pair converge?
-    pub fn converged(&self) -> bool {
-        self.quarantined.is_empty()
-    }
-}
+/// Result of one hijack simulation: the ASes deceived, still reaching
+/// the true victim, and left with no route to the prefix at all.
+pub type HijackOutcome = ScenarioTally;
 
 /// The paper-baseline scenario policy equivalent to `policy`: security
 /// ranks third, no ROV, stubs sign but cannot validate.
@@ -96,10 +55,6 @@ fn as_scenario_policy(policy: TreePolicy) -> ScenarioPolicy {
 /// Simulate `attacker` origin-hijacking `victim`'s prefix under
 /// deployment state `state`.
 ///
-/// # Errors
-/// Returns [`ConvergenceError`] if the two-origin fixpoint exhausts its
-/// iteration budget (impossible on GR1-valid graphs).
-///
 /// # Panics
 /// Panics if `attacker == victim`.
 pub fn simulate_hijack(
@@ -109,9 +64,9 @@ pub fn simulate_hijack(
     attacker: AsId,
     victim: AsId,
     tiebreaker: &dyn TieBreaker,
-) -> Result<HijackOutcome, ConvergenceError> {
+) -> HijackOutcome {
     assert_ne!(attacker, victim, "attacker cannot hijack itself");
-    let run = simulate_scenario(
+    ScenarioKernel::new().run(
         g,
         state,
         &as_scenario_policy(policy),
@@ -119,22 +74,13 @@ pub fn simulate_hijack(
         attacker,
         victim,
         tiebreaker,
-    )?;
-    Ok(HijackOutcome {
-        deceived: run.outcome.deceived,
-        reached_victim: run.outcome.reached_victim,
-        unreachable: run.outcome.unreachable,
-    })
+    )
 }
 
 /// Mean deceived fraction over `n_pairs` deterministic
 /// (attacker, victim) samples — the headline resilience number for a
-/// deployment state. The same seed samples the same pairs, so states
-/// can be compared.
-///
-/// Pairs whose fixpoint fails to converge are quarantined in the
-/// returned [`DeceptionSample`] instead of aborting the sweep; the mean
-/// is taken over the pairs that converged.
+/// deployment state (`0.0` for an empty sample). The same seed samples
+/// the same pairs, so states can be compared.
 pub fn mean_deceived_fraction(
     g: &AsGraph,
     state: &SecureSet,
@@ -142,21 +88,17 @@ pub fn mean_deceived_fraction(
     tiebreaker: &dyn TieBreaker,
     n_pairs: usize,
     seed: u64,
-) -> DeceptionSample {
+) -> f64 {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
     let n = g.len() as u32;
+    let policy = as_scenario_policy(policy);
+    let hijack = AttackModel::OriginHijack;
+    let mut kernel = ScenarioKernel::new();
     let mut total = 0.0;
-    let mut sampled = 0;
-    let mut quarantined = Vec::new();
-    // The sampler draws with replacement, so the same (attacker,
-    // victim) pair can come up more than once. A failing pair must be
-    // quarantined once, not once per attempt — otherwise retried
-    // draws double-count failures and the quarantine report overstates
-    // how much of the sample was lost.
-    let mut failed: std::collections::HashSet<(AsId, AsId)> = std::collections::HashSet::new();
     let mut drawn = 0;
+    // Draws are with replacement: a repeated pair counts every time.
     while drawn < n_pairs {
         let a = AsId(rng.gen_range(0..n));
         let v = AsId(rng.gen_range(0..n));
@@ -164,28 +106,14 @@ pub fn mean_deceived_fraction(
             continue;
         }
         drawn += 1;
-        if failed.contains(&(a, v)) {
-            continue;
-        }
-        match simulate_hijack(g, state, policy, a, v, tiebreaker) {
-            Ok(out) => {
-                total += out.deceived_fraction();
-                sampled += 1;
-            }
-            Err(e) => {
-                failed.insert((a, v));
-                quarantined.push(e);
-            }
-        }
+        total += kernel
+            .run(g, state, &policy, hijack, a, v, tiebreaker)
+            .deceived_fraction();
     }
-    DeceptionSample {
-        mean: if sampled == 0 {
-            0.0
-        } else {
-            total / sampled as f64
-        },
-        sampled,
-        quarantined,
+    if n_pairs == 0 {
+        0.0
+    } else {
+        total / n_pairs as f64
     }
 }
 
@@ -216,8 +144,7 @@ mod tests {
     fn insecure_world_splits_by_distance_and_tiebreak() {
         let (g, t, ia, _ib, v, a) = contest();
         let state = SecureSet::new(g.len());
-        let out =
-            simulate_hijack(&g, &state, TreePolicy::default(), a, v, &LowestAsnTieBreak).unwrap();
+        let out = simulate_hijack(&g, &state, TreePolicy::default(), a, v, &LowestAsnTieBreak);
         // ia is v's provider (1 hop): not deceived. ib is a's provider:
         // deceived. t ties at length 2 and picks via ia (ASN 10 < 20):
         // reaches the victim.
@@ -242,8 +169,7 @@ mod tests {
         for x in [t, ia, ib, v] {
             state.set(x, true);
         }
-        let out =
-            simulate_hijack(&g, &state, TreePolicy::default(), a, v, &LowestAsnTieBreak).unwrap();
+        let out = simulate_hijack(&g, &state, TreePolicy::default(), a, v, &LowestAsnTieBreak);
         assert_eq!(out.deceived, 0);
         assert_eq!(out.reached_victim, 3);
     }
@@ -281,7 +207,7 @@ mod tests {
         for x in [t, ia, ib, v, s] {
             state.set(x, true);
         }
-        let out = simulate_hijack(&g, &state, TreePolicy::default(), a, v, &HashTieBreak).unwrap();
+        let out = simulate_hijack(&g, &state, TreePolicy::default(), a, v, &HashTieBreak);
         assert_eq!(
             out.deceived, 0,
             "validating providers shield the simplex stub"
@@ -299,8 +225,7 @@ mod tests {
             a,
             v,
             &LowestAsnTieBreak,
-        )
-        .unwrap();
+        );
         // s ties between (s, ia, v) true and (s, ib, a) bogus, both
         // 2-hop provider routes; with no secure path available its
         // plain tiebreak decides (ia, ASN 10) — not deceived. ib is.
@@ -320,14 +245,9 @@ mod tests {
             full.set(x, true);
         }
         let policy = TreePolicy::default();
-        let base_sample = mean_deceived_fraction(&g, &insecure, policy, &HashTieBreak, 30, 9);
-        let mid_sample = mean_deceived_fraction(&g, &half, policy, &HashTieBreak, 30, 9);
-        let top_sample = mean_deceived_fraction(&g, &full, policy, &HashTieBreak, 30, 9);
-        for s in [&base_sample, &mid_sample, &top_sample] {
-            assert!(s.converged(), "GR1-valid graph must converge: {s:?}");
-            assert_eq!(s.sampled, 30);
-        }
-        let (base, mid, top) = (base_sample.mean, mid_sample.mean, top_sample.mean);
+        let base = mean_deceived_fraction(&g, &insecure, policy, &HashTieBreak, 30, 9);
+        let mid = mean_deceived_fraction(&g, &half, policy, &HashTieBreak, 30, 9);
+        let top = mean_deceived_fraction(&g, &full, policy, &HashTieBreak, 30, 9);
         // The paper's motivating number: an arbitrary attacker fools a
         // large chunk of the insecure Internet.
         assert!(base > 0.15, "insecure baseline too low: {base}");
@@ -349,32 +269,10 @@ mod tests {
     }
 
     #[test]
-    fn repeated_draws_count_toward_the_mean_but_failures_never_twice() {
-        // 5 nodes → at most 20 ordered pairs, so 500 draws repeat
-        // heavily. Successful repeats must each count toward the mean
-        // (sampling with replacement), while a failing pair may appear
-        // in the quarantine at most once.
-        let (g, _, _, _, _, _) = contest();
-        let state = SecureSet::new(g.len());
-        let sample =
-            mean_deceived_fraction(&g, &state, TreePolicy::default(), &HashTieBreak, 500, 9);
-        assert_eq!(sample.sampled, 500, "healthy repeats all count");
-        let mut pairs: Vec<(AsId, AsId)> = sample
-            .quarantined
-            .iter()
-            .map(|e| (e.attacker, e.victim))
-            .collect();
-        let before = pairs.len();
-        pairs.sort_unstable();
-        pairs.dedup();
-        assert_eq!(pairs.len(), before, "quarantined pairs must be unique");
-    }
-
-    #[test]
     #[should_panic(expected = "hijack itself")]
     fn attacker_is_not_victim() {
         let (g, _, _, _, v, _) = contest();
         let state = SecureSet::new(g.len());
-        let _ = simulate_hijack(&g, &state, TreePolicy::default(), v, v, &HashTieBreak);
+        simulate_hijack(&g, &state, TreePolicy::default(), v, v, &HashTieBreak);
     }
 }

@@ -5,33 +5,28 @@
 //! future work (Section 6.4). This module family is that evaluation,
 //! grown from the single-attack `resilience.rs` seed into a surface:
 //!
-//! * [`convergence`] — the fast two-origin fixpoint. Paths are
-//!   shared-tail cons lists (`O(1)` prepend instead of the oracle's
-//!   per-candidate `Vec` clones), scheduling is a dirty-set worklist
-//!   (only nodes with a changed neighbor re-select each pass — the
-//!   selection is a pure function of the previous pass's neighbor
-//!   routes, so the iterate sequence is provably identical to the full
-//!   synchronous sweep), and a route leak's clean-route prephase is
-//!   served by the existing [`sbgp_routing::compute_tree`] pipeline
-//!   when the ranking allows it.
+//! * [`sbgp_routing::scenario_kernel`] — the one engine behind every
+//!   scenario: a single rank-ordered label-setting pass with victim
+//!   and attacker as pinned sources. No explicit paths, no iteration
+//!   to convergence, exact under GR1 (the argument is in that module's
+//!   docs); [`simulate_scenario`] is its one-shot form with verdicts
+//!   and paths materialized.
 //! * [`select`] — seeded attacker/victim pair strategies (random,
 //!   degree-stratified, worst-case greedy).
 //! * [`sweep`] — the parallel surface runner: crosses everything,
 //!   keeps results bit-identical at any thread count (index-ordered
-//!   merge), differentially audits a seeded fraction of scenarios
-//!   against [`sbgp_routing::scenario_oracle`], and quarantines
-//!   non-converged scenarios with honest completeness.
+//!   merge), and differentially audits a seeded fraction of scenarios
+//!   against [`sbgp_routing::scenario_oracle`].
 //!
 //! The attack/policy vocabulary and semantics live in
 //! [`sbgp_routing::threat`], shared with the oracle so the two
 //! implementations can be compared outcome-for-outcome (the
 //! `scenario_conformance` property suite does exactly that).
 
-pub mod convergence;
 pub mod select;
 pub mod sweep;
 
-pub use convergence::{simulate_scenario, ScenarioRun};
+pub use sbgp_routing::{simulate_scenario, ScenarioRun};
 pub use select::{select_pairs, PairStrategy};
 pub use sweep::{
     run_surface, ScenarioCell, ScenarioConfig, ScenarioSnapshot, ScenarioStats, ScenarioSurface,
@@ -40,24 +35,20 @@ pub use sweep::{
 use sbgp_asgraph::AsId;
 use sbgp_routing::AttackModel;
 
-/// The two-origin path-vector fixpoint did not settle within its
-/// iteration budget.
-///
-/// Under the paper's security-third ranking this is only reachable on
-/// malformed (non-GR1) inputs, but security-first rankings abandon
-/// Gao–Rexford preferences and can genuinely oscillate. The error
-/// carries the full scenario identity — which (attacker, victim) pair,
-/// under which attack, and how much budget it burned — so a sweep can
-/// quarantine the offending scenario and keep the rest of the sample.
+/// A scenario whose route selection did not settle. The kernel settles
+/// every AS in one pass, so nothing constructs this any more; it
+/// survives only as the element type of the always-empty
+/// [`ScenarioCell::quarantined`], whose shape the performance ledger
+/// compiles against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConvergenceError {
     /// The sampled attacker.
     pub attacker: AsId,
     /// The sampled victim.
     pub victim: AsId,
-    /// The attack model the fixpoint was running.
+    /// The attack model being simulated.
     pub attack: AttackModel,
-    /// The iteration budget that was exhausted (`2·|V| + 10`).
+    /// The iteration budget that was exhausted.
     pub iterations: usize,
 }
 
@@ -70,8 +61,6 @@ impl std::fmt::Display for ConvergenceError {
         )
     }
 }
-
-impl std::error::Error for ConvergenceError {}
 
 #[cfg(test)]
 mod tests {

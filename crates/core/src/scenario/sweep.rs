@@ -6,7 +6,8 @@
 //!
 //! * The job index space is fixed up front; workers pull indices from
 //!   an atomic counter but results are merged **sorted by index**, so
-//!   scheduling order never leaks into the output.
+//!   scheduling order never leaks into the output. Each worker owns one
+//!   reusable [`ScenarioKernel`] and jobs report counts only.
 //! * The self-check audit set is pre-decided by a seeded RNG *before*
 //!   the parallel region — which scenarios get differentially checked
 //!   against the oracle cannot depend on which worker ran them.
@@ -17,14 +18,15 @@
 //! a (pair × candidate) index space under the same discipline, so the
 //! chosen attackers are also thread-count independent.
 
-use super::convergence::simulate_scenario;
 use super::select::{select_pairs, PairStrategy};
 use super::ConvergenceError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sbgp_asgraph::{AsGraph, AsId};
 use sbgp_routing::scenario_oracle::converge_scenario;
-use sbgp_routing::{AttackModel, ScenarioPolicy, SecureSet, TieBreaker, Verdict};
+use sbgp_routing::{
+    AttackModel, ScenarioKernel, ScenarioPolicy, ScenarioTally, SecureSet, TieBreaker, Verdict,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A labeled deployment state to evaluate attacks against (typically
@@ -61,9 +63,11 @@ pub struct ScenarioConfig {
 /// thread-count independent.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScenarioStats {
-    /// Scenario fixpoints run (including greedy probe scenarios).
+    /// Scenarios run (including greedy probe scenarios).
     pub scenarios_run: u64,
-    /// Total two-origin fixpoint iterations across all scenarios.
+    /// Iterations of the only fixpoints still run: the oracle's, on
+    /// audited scenarios (so `0` without a self-check). The field and
+    /// its place in the `[scenario]` line are pinned by the ledger.
     pub fixpoint_iters: u64,
     /// Deceived ASes in downgrade scenarios that *would have* rejected
     /// the same announcement as a plain hijack — path validators the
@@ -71,9 +75,10 @@ pub struct ScenarioStats {
     pub downgrades_observed: u64,
     /// Scenarios differentially replayed through the oracle.
     pub oracle_checked: u64,
-    /// Oracle replays that disagreed with the fast engine.
+    /// Oracle replays that disagreed with the kernel.
     pub oracle_mismatches: u64,
-    /// Scenarios quarantined for non-convergence.
+    /// Always `0`: the kernel settles every scenario. Kept because the
+    /// `[scenario]` line the ledger parses reports it.
     pub quarantined: u64,
 }
 
@@ -89,15 +94,17 @@ pub struct ScenarioCell {
     pub attack: AttackModel,
     /// The defense policy.
     pub policy: ScenarioPolicy,
-    /// Mean deceived fraction over converged pairs.
+    /// Mean deceived fraction over the sampled pairs.
     pub mean_deceived: f64,
     /// Mean fraction reaching the victim cleanly.
     pub mean_reached: f64,
     /// Mean fraction left with no route.
     pub mean_unreachable: f64,
-    /// Converged pairs the means are over.
+    /// Pairs the means are over.
     pub sampled: usize,
-    /// Non-converged scenarios, quarantined with full identity.
+    /// Always empty: the kernel settles every scenario. Kept because
+    /// the ledger compiles against it and the golden CSVs pin the
+    /// `quarantined` column it feeds.
     pub quarantined: Vec<ConvergenceError>,
 }
 
@@ -120,21 +127,25 @@ pub struct ScenarioSurface {
 /// paper-scale surface runs hundreds of thousands of scenarios, so
 /// jobs return counts, not per-node verdict vectors).
 struct JobResult {
-    deceived: usize,
-    reached: usize,
-    unreachable: usize,
-    iterations: usize,
+    tally: ScenarioTally,
     downgraded: u64,
-    err: Option<ConvergenceError>,
+    /// Iterations the oracle took, if this scenario was audited.
+    oracle_iters: u64,
     mismatch: Option<String>,
 }
 
-/// Run `f` over `0..total`, spreading across `threads` workers, and
-/// return results in index order regardless of scheduling.
-fn run_indexed<T: Send>(total: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// Run `f` over `0..total`, spreading across `threads` workers that
+/// each own one kernel, and return results in index order regardless
+/// of scheduling.
+fn run_indexed<T: Send>(
+    total: usize,
+    threads: usize,
+    f: impl Fn(&mut ScenarioKernel, usize) -> T + Sync,
+) -> Vec<T> {
     let threads = threads.max(1).min(total.max(1));
     if threads <= 1 {
-        return (0..total).map(f).collect();
+        let mut kernel = ScenarioKernel::new();
+        return (0..total).map(|i| f(&mut kernel, i)).collect();
     }
     let next = AtomicUsize::new(0);
     let mut collected: Vec<(usize, T)> = Vec::with_capacity(total);
@@ -142,13 +153,14 @@ fn run_indexed<T: Send>(total: usize, threads: usize, f: impl Fn(usize) -> T + S
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    let mut kernel = ScenarioKernel::new();
                     let mut mine = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= total {
                             return mine;
                         }
-                        mine.push((i, f(i)));
+                        mine.push((i, f(&mut kernel, i)));
                     }
                 })
             })
@@ -192,10 +204,11 @@ fn mismatch_artifact(
     s
 }
 
-/// Run one scenario through the fast engine (and, if audited, replay
-/// it through the oracle and compare path-for-path).
+/// Run one scenario through the kernel (and, if audited, replay it
+/// through the oracle and compare verdicts, tallies and every path).
 #[allow(clippy::too_many_arguments)]
 fn run_one(
+    kernel: &mut ScenarioKernel,
     g: &AsGraph,
     snapshot: &ScenarioSnapshot,
     policy: &ScenarioPolicy,
@@ -205,95 +218,63 @@ fn run_one(
     tiebreaker: &dyn TieBreaker,
     audit: bool,
 ) -> JobResult {
-    let fast = simulate_scenario(
-        g,
-        &snapshot.state,
-        policy,
-        attack,
-        attacker,
-        victim,
-        tiebreaker,
-    );
-    let mut mismatch = None;
+    let state = &snapshot.state;
+    let tally = kernel.run(g, state, policy, attack, attacker, victim, tiebreaker);
+    // A downgrade's damage at a validator is damage a plain hijack
+    // could not have done — count those ASes.
+    let downgraded = if attack == AttackModel::Downgrade {
+        g.nodes()
+            .filter(|&x| {
+                kernel.verdict(x) == Verdict::Deceived && policy.validates_path(g, state, x)
+            })
+            .count() as u64
+    } else {
+        0
+    };
+    let (mut oracle_iters, mut mismatch) = (0, None);
     if audit {
-        let slow = converge_scenario(
-            g,
-            &snapshot.state,
-            policy,
-            attack,
-            attacker,
-            victim,
-            tiebreaker,
-        );
-        let agree = match (&fast, &slow) {
-            (Ok(f), Ok(s)) => f.outcome == s.outcome && f.paths == s.paths,
-            (Err(f), Err(s)) => f.iterations == s.iterations,
-            _ => false,
-        };
-        if !agree {
-            let detail = match (&fast, &slow) {
-                (Ok(f), Ok(s)) => format!(
-                    "fast (deceived {}, reached {}, unreachable {}, iters {}) vs oracle \
-                     (deceived {}, reached {}, unreachable {}, iters {})",
-                    f.outcome.deceived,
-                    f.outcome.reached_victim,
-                    f.outcome.unreachable,
-                    f.outcome.iterations,
-                    s.outcome.deceived,
-                    s.outcome.reached_victim,
-                    s.outcome.unreachable,
-                    s.outcome.iterations,
-                ),
-                (Ok(_), Err(_)) => "fast converged, oracle exhausted".into(),
-                (Err(_), Ok(_)) => "fast exhausted, oracle converged".into(),
-                (Err(f), Err(s)) => {
+        // Verdict vectors and `Vec` paths exist only here, for the
+        // scenarios the seeded audit set picked.
+        let fast = kernel.materialize();
+        let detail = match converge_scenario(g, state, policy, attack, attacker, victim, tiebreaker)
+        {
+            Ok(slow) => {
+                oracle_iters = slow.iterations as u64;
+                (fast.outcome != slow.outcome || fast.paths != slow.paths).then(|| {
+                    let path_diff = (0..g.len())
+                        .find(|&i| fast.paths[i] != slow.paths[i])
+                        .map(|i| {
+                            format!(
+                                "; node {i}: kernel {:?} vs oracle {:?}",
+                                fast.paths[i], slow.paths[i]
+                            )
+                        })
+                        .unwrap_or_default();
                     format!(
-                        "budgets disagree: fast {} vs oracle {}",
-                        f.iterations, s.iterations
+                        "kernel (deceived {}, reached {}, unreachable {}) vs oracle \
+                         (deceived {}, reached {}, unreachable {}){path_diff}",
+                        tally.deceived,
+                        tally.reached_victim,
+                        tally.unreachable,
+                        slow.outcome.deceived,
+                        slow.outcome.reached_victim,
+                        slow.outcome.unreachable,
                     )
-                }
-            };
-            mismatch = Some(mismatch_artifact(
-                g, snapshot, attack, policy, attacker, victim, &detail,
-            ));
-        }
-    }
-    match fast {
-        Ok(run) => {
-            // A downgrade's damage at a validator is damage a plain
-            // hijack could not have done — count those ASes.
-            let downgraded = if attack == AttackModel::Downgrade {
-                run.outcome
-                    .verdicts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, v)| {
-                        *v == Verdict::Deceived
-                            && policy.validates_path(g, &snapshot.state, AsId(i as u32))
-                    })
-                    .count() as u64
-            } else {
-                0
-            };
-            JobResult {
-                deceived: run.outcome.deceived,
-                reached: run.outcome.reached_victim,
-                unreachable: run.outcome.unreachable,
-                iterations: run.outcome.iterations,
-                downgraded,
-                err: None,
-                mismatch,
+                })
             }
-        }
-        Err(e) => JobResult {
-            deceived: 0,
-            reached: 0,
-            unreachable: 0,
-            iterations: e.iterations,
-            downgraded: 0,
-            err: Some(e),
-            mismatch,
-        },
+            Err(e) => Some(format!(
+                "the oracle exhausted its {}-iteration budget",
+                e.iterations
+            )),
+        };
+        mismatch =
+            detail.map(|d| mismatch_artifact(g, snapshot, attack, policy, attacker, victim, &d));
+    }
+    JobResult {
+        tally,
+        downgraded,
+        oracle_iters,
+        mismatch,
     }
 }
 
@@ -343,9 +324,10 @@ pub fn run_surface(
                 });
             }
         }
-        let probe = |i: usize| {
+        let probe = |kernel: &mut ScenarioKernel, i: usize| {
             let (_, v) = pairs[i / candidates];
             run_one(
+                kernel,
                 g,
                 &snapshots[0],
                 &cfg.policies[0],
@@ -362,15 +344,12 @@ pub fn run_surface(
             let best = chunk
                 .iter()
                 .enumerate()
-                .max_by_key(|(j, r)| (r.deceived, std::cmp::Reverse(*j)))
+                .max_by_key(|(j, r)| (r.tally.deceived, std::cmp::Reverse(*j)))
                 .expect("candidates is positive")
                 .0;
             *a = cand[i * candidates + best];
         }
-        for r in &probes {
-            stats.scenarios_run += 1;
-            stats.fixpoint_iters += r.iterations as u64;
-        }
+        stats.scenarios_run += probes.len() as u64;
     }
 
     // The main index space; the audit set is drawn before the run.
@@ -383,12 +362,13 @@ pub fn run_surface(
     } else {
         vec![false; total]
     };
-    let job = |i: usize| {
+    let job = |kernel: &mut ScenarioKernel, i: usize| {
         let (qi, rest) = (i % nq, i / nq);
         let (pi, rest) = (rest % np, rest / np);
         let (ai, si) = (rest % na, rest / na);
         let (attacker, victim) = pairs[qi];
         run_one(
+            kernel,
             g,
             &snapshots[si],
             &cfg.policies[pi],
@@ -404,7 +384,9 @@ pub fn run_surface(
     // Sequential aggregation in index order.
     let mut cells = Vec::with_capacity(snapshots.len() * na * np);
     let mut mismatches = Vec::new();
-    let denom = (g.len() - 2) as f64;
+    // A two-node graph has nobody left to deceive: its fractions are
+    // 0.0 (as `ScenarioOutcome::deceived_fraction` has it), not 0/0.
+    let denom = (g.len() - 2).max(1) as f64;
     for (ci, chunk) in results.chunks(nq).enumerate() {
         let (pi, rest) = (ci % np, ci / np);
         let (ai, si) = (rest % na, rest / na);
@@ -416,35 +398,24 @@ pub fn run_surface(
             mean_deceived: 0.0,
             mean_reached: 0.0,
             mean_unreachable: 0.0,
-            sampled: 0,
+            sampled: chunk.len(),
             quarantined: Vec::new(),
         };
         for r in chunk {
             stats.scenarios_run += 1;
-            stats.fixpoint_iters += r.iterations as u64;
+            stats.fixpoint_iters += r.oracle_iters;
             stats.downgrades_observed += r.downgraded;
             if let Some(m) = &r.mismatch {
                 stats.oracle_mismatches += 1;
                 mismatches.push(m.clone());
             }
-            match &r.err {
-                Some(e) => {
-                    stats.quarantined += 1;
-                    cell.quarantined.push(*e);
-                }
-                None => {
-                    cell.sampled += 1;
-                    cell.mean_deceived += r.deceived as f64 / denom;
-                    cell.mean_reached += r.reached as f64 / denom;
-                    cell.mean_unreachable += r.unreachable as f64 / denom;
-                }
-            }
+            cell.mean_deceived += r.tally.deceived as f64 / denom;
+            cell.mean_reached += r.tally.reached_victim as f64 / denom;
+            cell.mean_unreachable += r.tally.unreachable as f64 / denom;
         }
-        if cell.sampled > 0 {
-            cell.mean_deceived /= cell.sampled as f64;
-            cell.mean_reached /= cell.sampled as f64;
-            cell.mean_unreachable /= cell.sampled as f64;
-        }
+        cell.mean_deceived /= cell.sampled as f64;
+        cell.mean_reached /= cell.sampled as f64;
+        cell.mean_unreachable /= cell.sampled as f64;
         cells.push(cell);
     }
     stats.oracle_checked = audited.iter().filter(|&&a| a).count() as u64;
@@ -538,12 +509,33 @@ mod tests {
             "every scenario should be audited at rate 1.0"
         );
         // Partition invariant on every cell: the three fractions cover
-        // all n−2 non-origin nodes for every converged sample.
+        // all n−2 non-origin nodes.
         for c in &surface.cells {
-            if c.sampled > 0 {
-                let total = c.mean_deceived + c.mean_reached + c.mean_unreachable;
-                assert!((total - 1.0).abs() < 1e-9, "{total} in {}", c.snapshot);
-            }
+            let total = c.mean_deceived + c.mean_reached + c.mean_unreachable;
+            assert!((total - 1.0).abs() < 1e-9, "{total} in {}", c.snapshot);
+        }
+        // The only fixpoints left are the oracle's, on audited scenarios.
+        assert!(surface.stats.fixpoint_iters >= surface.stats.oracle_checked);
+        cfg.self_check = 0.0;
+        let unaudited = run_surface(&g, &snaps, &cfg, &HashTieBreak);
+        assert_eq!(unaudited.stats.fixpoint_iters, 0);
+        assert_eq!(unaudited.cells, surface.cells);
+    }
+
+    #[test]
+    fn a_two_node_graph_has_zero_fractions_not_nan() {
+        // Attacker and victim are the whole graph: nobody is left to
+        // deceive, and 0 of 0 ASes is 0.0, not 0/0.
+        let mut b = sbgp_asgraph::AsGraphBuilder::new();
+        let (p, c) = (b.add_node(1), b.add_node(2));
+        b.add_provider_customer(p, c).unwrap();
+        let g = b.build().unwrap();
+        let cfg = config(PairStrategy::SeededRandom);
+        let surface = run_surface(&g, &snapshots(&g), &cfg, &HashTieBreak);
+        for cell in &surface.cells {
+            assert_eq!(cell.sampled, cfg.pairs);
+            let means = [cell.mean_deceived, cell.mean_reached, cell.mean_unreachable];
+            assert_eq!(means, [0.0; 3], "{} {}", cell.snapshot, cell.attack);
         }
     }
 

@@ -7,7 +7,6 @@
 
 use sbgp_asgraph::GraphError;
 use sbgp_core::checkpoint::CheckpointError;
-use sbgp_core::scenario::ConvergenceError;
 use sbgp_core::serve::ServeError;
 use sbgp_core::storage::StorageError;
 use std::fmt;
@@ -21,10 +20,6 @@ pub enum ExperimentError {
     /// Checkpoint persistence failed (I/O, corruption, or a
     /// parameter-fingerprint mismatch on `--resume`).
     Checkpoint(CheckpointError),
-    /// Every sampled hijack pair failed to converge — a resilience
-    /// measurement has nothing to report (partial failures are only
-    /// warned about).
-    Convergence(ConvergenceError),
     /// `repro doctor` found invalid input files.
     Doctor {
         /// How many of the inspected files failed validation.
@@ -49,7 +44,6 @@ impl fmt::Display for ExperimentError {
         match self {
             ExperimentError::Graph(e) => write!(f, "{e}"),
             ExperimentError::Checkpoint(e) => write!(f, "{e}"),
-            ExperimentError::Convergence(e) => write!(f, "{e}"),
             ExperimentError::Doctor { failures } => {
                 write!(f, "doctor: {failures} file(s) failed validation")
             }
@@ -66,7 +60,6 @@ impl std::error::Error for ExperimentError {
         match self {
             ExperimentError::Graph(e) => Some(e),
             ExperimentError::Checkpoint(e) => Some(e),
-            ExperimentError::Convergence(e) => Some(e),
             ExperimentError::Doctor { .. } => None,
             ExperimentError::Supervise(e) => Some(e),
             ExperimentError::Storage(e) => Some(e),
@@ -91,12 +84,6 @@ impl From<GraphError> for ExperimentError {
 impl From<CheckpointError> for ExperimentError {
     fn from(e: CheckpointError) -> Self {
         ExperimentError::Checkpoint(e)
-    }
-}
-
-impl From<ConvergenceError> for ExperimentError {
-    fn from(e: ConvergenceError) -> Self {
-        ExperimentError::Convergence(e)
     }
 }
 

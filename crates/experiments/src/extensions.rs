@@ -15,8 +15,7 @@ use crate::cli::Options;
 use crate::error::ExperimentError;
 use crate::output::{f3, heading, pct, Table};
 use crate::world::{
-    case_study_adopters, case_study_config, deception_mean, report_integrity, weights, World,
-    TIEBREAK,
+    case_study_adopters, case_study_config, report_integrity, weights, World, TIEBREAK,
 };
 use sbgp_asgraph::AsId;
 use sbgp_core::{metrics, resilience, turnoff, SimConfig, Simulation};
@@ -109,16 +108,12 @@ pub fn ext_resilience(opts: &Options) -> Result<(), ExperimentError> {
     );
     // All-insecure baseline (the paper's "half the Internet" number).
     let insecure = sbgp_routing::SecureSet::new(g.len());
-    let base = deception_mean(
-        resilience::mean_deceived_fraction(g, &insecure, cfg.tree_policy, &TIEBREAK, pairs, 7),
-        "pre-deployment baseline",
-    )?;
+    let base =
+        resilience::mean_deceived_fraction(g, &insecure, cfg.tree_policy, &TIEBREAK, pairs, 7);
     t.row(vec!["pre".into(), "0".into(), f3(base)]);
     for (i, state) in states.iter().enumerate() {
-        let frac = deception_mean(
-            resilience::mean_deceived_fraction(g, state, cfg.tree_policy, &TIEBREAK, pairs, 7),
-            &format!("round {i}"),
-        )?;
+        let frac =
+            resilience::mean_deceived_fraction(g, state, cfg.tree_policy, &TIEBREAK, pairs, 7);
         t.row(vec![i.to_string(), state.count().to_string(), f3(frac)]);
     }
     t.emit(opts)?;

@@ -17,8 +17,7 @@ use crate::cli::Options;
 use crate::error::ExperimentError;
 use crate::output::{f3, heading, pct, Table};
 use crate::world::{
-    case_study_adopters, case_study_config, deception_mean, report_integrity, weights, World,
-    TIEBREAK,
+    case_study_adopters, case_study_config, report_integrity, weights, World, TIEBREAK,
 };
 use sbgp_asgraph::fault::{apply_faults, FaultPlan};
 use sbgp_core::{resilience, Simulation};
@@ -66,28 +65,10 @@ pub fn fault(opts: &Options) -> Result<(), ExperimentError> {
         let (fg, report) = apply_faults(g, &plan)?;
         // Node ids survive fault injection, so the deployment state
         // transfers to the degraded graph unchanged.
-        let base = deception_mean(
-            resilience::mean_deceived_fraction(
-                &fg,
-                &insecure,
-                cfg.tree_policy,
-                &TIEBREAK,
-                pairs,
-                7,
-            ),
-            &format!("rate {rate} (insecure)"),
-        )?;
-        let deployed = deception_mean(
-            resilience::mean_deceived_fraction(
-                &fg,
-                &res.final_state,
-                cfg.tree_policy,
-                &TIEBREAK,
-                pairs,
-                7,
-            ),
-            &format!("rate {rate} (deployed)"),
-        )?;
+        let deceived = |state| {
+            resilience::mean_deceived_fraction(&fg, state, cfg.tree_policy, &TIEBREAK, pairs, 7)
+        };
+        let (base, deployed) = (deceived(&insecure), deceived(&res.final_state));
         t.row(vec![
             format!("{rate}"),
             format!("{}/{}", report.surviving_edges, report.total_edges),

@@ -119,28 +119,6 @@ pub fn report_integrity(res: &sbgp_core::SimResult) {
     }
 }
 
-/// Unwrap a resilience sample: warn about quarantined hijack pairs,
-/// fail only when *no* pair converged (there is nothing to report).
-pub fn deception_mean(
-    sample: sbgp_core::resilience::DeceptionSample,
-    label: &str,
-) -> Result<f64, ExperimentError> {
-    if sample.sampled == 0 {
-        if let Some(&first) = sample.quarantined.first() {
-            return Err(ExperimentError::Convergence(first));
-        }
-        return Ok(0.0); // zero pairs requested
-    }
-    if !sample.converged() {
-        eprintln!(
-            "warning: {label}: {} of {} hijack pairs failed to converge and were quarantined",
-            sample.quarantined.len(),
-            sample.sampled + sample.quarantined.len()
-        );
-    }
-    Ok(sample.mean)
-}
-
 /// The case-study early adopters: the five CPs plus the top five
 /// Tier-1s by degree (Section 5).
 pub fn case_study_adopters() -> EarlyAdopters {

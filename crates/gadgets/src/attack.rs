@@ -196,8 +196,7 @@ mod tests {
             m,
             v,
             &LowestAsnTieBreak,
-        )
-        .unwrap();
+        );
         assert_eq!(run.paths[p.index()].as_ref().unwrap(), &vec![p, r, s, v]);
         assert_eq!(run.outcome.verdicts[p.index()], Verdict::ReachedVictim);
         // q sits right above the attacker with no alternative of its
@@ -217,8 +216,7 @@ mod tests {
             m,
             v,
             &LowestAsnTieBreak,
-        )
-        .unwrap();
+        );
         assert_eq!(run.outcome.deceived, 0);
         assert_eq!(run.outcome.verdicts[q.index()], Verdict::ReachedVictim);
     }

@@ -39,6 +39,14 @@
 //! tests can check the fast algorithms against an independent
 //! implementation of the Appendix A semantics on small graphs.
 //!
+//! ## Adversarial scenarios
+//!
+//! [`threat`] defines attacks, defenses and verdicts for a victim and
+//! an attacker announcing the same prefix; [`scenario_kernel`] settles
+//! every AS's route in one rank-ordered label-setting pass, and
+//! [`scenario_oracle`] is the path-vector fixpoint it is checked
+//! against.
+//!
 //! # Example
 //!
 //! ```
@@ -87,6 +95,7 @@ mod tree;
 pub mod census;
 pub mod diffcheck;
 pub mod oracle;
+pub mod scenario_kernel;
 pub mod scenario_oracle;
 pub mod threat;
 
@@ -97,6 +106,7 @@ pub use flows::{
     accumulate_flows, add_utilities, flows_and_target_utility, fold_utilities, utilities_of,
     UtilityAccumulator,
 };
+pub use scenario_kernel::{simulate_scenario, ScenarioKernel, ScenarioRun, ScenarioTally};
 pub use secure::SecureSet;
 pub use threat::{AttackModel, ScenarioOutcome, ScenarioPolicy, SecurityRank, Verdict};
 pub use tiebreak::{HashTieBreak, LowestAsnTieBreak, TieBreaker};

@@ -11,15 +11,14 @@
 //! any position of the ranking.
 //!
 //! Nothing in the simulator proper uses this module — it exists so the
-//! fast worklist engine in `sbgp_core::scenario` (shared-tail cons
-//! paths, dirty-set scheduling, the `compute_tree` shortcut for route
-//! leak prephases) can be differentially checked against an
-//! independent implementation, path-for-path and verdict-for-verdict.
+//! one-pass [`crate::scenario_kernel`] (no explicit paths, no
+//! iteration) can be differentially checked against an independent
+//! implementation, path-for-path and verdict-for-verdict.
 //!
-//! Unlike [`crate::oracle`], non-convergence is a value, not a panic:
-//! security-first rankings abandon Gao–Rexford preferences, so Lemma
-//! G.1's convergence guarantee does not apply and a dispute wheel can
-//! legitimately spin forever.
+//! Unlike [`crate::oracle`], exhausting the iteration budget is a
+//! value, not a panic. The kernel's exactness argument says it cannot
+//! happen on a GR1 graph under GR2 export, whatever the ranking; the
+//! conformance suite asserts that on every world it generates.
 
 use crate::secure::SecureSet;
 use crate::threat::{AttackModel, ScenarioOutcome, ScenarioPolicy, Verdict};
@@ -33,12 +32,15 @@ pub struct OracleRun {
     /// Best AS path per node (`[node, ..., origin]`), `None` if no
     /// route survived filtering.
     pub paths: Vec<Option<Vec<AsId>>>,
-    /// Tallied verdicts and iteration count.
+    /// Tallied verdicts.
     pub outcome: ScenarioOutcome,
+    /// Synchronous iterations of the two-origin fixpoint (the route
+    /// leak's clean-route prephase is not counted) — a property of
+    /// this schedule, not of the outcome.
+    pub iterations: usize,
 }
 
-/// The fixpoint exhausted its `2·|V| + 10` iteration budget (possible
-/// under security-first rankings, or on malformed graphs).
+/// The fixpoint exhausted its `2·|V| + 10` iteration budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OracleExhausted {
     /// The iteration budget that was exhausted.
@@ -58,9 +60,7 @@ fn lp_rank(g: &AsGraph, x: AsId, m: AsId) -> u8 {
 
 /// Run the naive two-origin fixpoint for one scenario.
 ///
-/// Outcome semantics are defined in [`crate::threat`]; `iterations`
-/// counts only the two-origin phase (a route leak's clean-route
-/// prephase runs under its own budget but is not part of the outcome).
+/// Outcome semantics are defined in [`crate::threat`].
 ///
 /// # Errors
 /// Returns [`OracleExhausted`] if either fixpoint phase fails to
@@ -112,7 +112,8 @@ pub fn converge_scenario<T: TieBreaker + ?Sized>(
         .collect();
     Ok(OracleRun {
         paths,
-        outcome: ScenarioOutcome::tally(verdicts, iterations),
+        outcome: ScenarioOutcome::tally(verdicts),
+        iterations,
     })
 }
 

@@ -6,8 +6,8 @@
 //! Schapira analyze protocol-downgrade attacks that collapse the gains
 //! of partial S\*BGP, and route leaks evade path validation entirely.
 //! This module defines the attack models, defense policies, and
-//! per-node verdicts used by both the fast scenario engine
-//! (`sbgp_core::scenario`) and the slow reference implementation
+//! per-node verdicts used by both the route-selection kernel
+//! ([`crate::scenario_kernel`]) and the slow reference implementation
 //! ([`crate::scenario_oracle`]) so the two can be compared
 //! outcome-for-outcome.
 //!
@@ -183,10 +183,9 @@ impl ScenarioPolicy {
         }
     }
 
-    /// Security first (above LP), otherwise the baseline. This is the
-    /// one ranking that can abandon Gao–Rexford preferences, so
-    /// convergence is no longer guaranteed — non-converged scenarios
-    /// are quarantined, not ground through.
+    /// Security first (above LP), otherwise the baseline. Export
+    /// still follows GR2, so outcomes stay unique and the kernel
+    /// settles them in one pass like the other two rankings.
     pub fn security_first() -> ScenarioPolicy {
         ScenarioPolicy {
             rank: SecurityRank::First,
@@ -333,7 +332,8 @@ pub enum Verdict {
     Unreachable,
 }
 
-/// The converged outcome of one scenario.
+/// The outcome of one scenario — what the routing settles on, with
+/// nothing of how an engine got there.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScenarioOutcome {
     /// Per-node verdicts (index = node id).
@@ -344,20 +344,16 @@ pub struct ScenarioOutcome {
     pub reached_victim: usize,
     /// Non-origin ASes with no route at all.
     pub unreachable: usize,
-    /// Synchronous iterations of the two-origin fixpoint (the route
-    /// leak's clean-route prephase is not counted).
-    pub iterations: usize,
 }
 
 impl ScenarioOutcome {
     /// Tally counts from per-node verdicts.
-    pub fn tally(verdicts: Vec<Verdict>, iterations: usize) -> ScenarioOutcome {
+    pub fn tally(verdicts: Vec<Verdict>) -> ScenarioOutcome {
         let mut out = ScenarioOutcome {
             verdicts,
             deceived: 0,
             reached_victim: 0,
             unreachable: 0,
-            iterations,
         };
         for v in &out.verdicts {
             match v {

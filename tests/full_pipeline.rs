@@ -234,61 +234,63 @@ fn golden_scenario_surface_matches_and_is_thread_count_independent() {
     // the committed CSVs byte-for-byte — and must keep doing so at
     // every thread count, which turns the engine's determinism
     // discipline (fixed job index space, pre-decided audit set,
-    // index-ordered aggregation) into a tier-1 gate.
+    // index-ordered aggregation) into a tier-1 gate. Two surfaces are
+    // pinned: the original hijack/downgrade × sec3 pair, and the full
+    // default matrix (forgery, leak, sec2 and sec1 included — where
+    // route selection differs most from a plain BFS), frozen from the
+    // cons-list fixpoint engine before the kernel replaced it.
     //
     // To regenerate after an intentional change:
     //   repro scenario --ases 150 --seed 42 --pairs 12 \
     //     --attacks hijack,downgrade --policies sec3,sec3+rov \
     //     --out tests/fixtures/golden
+    //   repro scenario --ases 150 --seed 42 --pairs 12 --out DIR, then
+    //   copy DIR/scenario_{surface,deltas}.csv to
+    //   tests/fixtures/golden/scenario_full_{surface,deltas}.csv
     let bin = env!("CARGO_BIN_EXE_repro");
     let golden =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden");
-    let files = ["scenario_surface.csv", "scenario_deltas.csv"];
-    for threads in ["1", "2", "4", "8"] {
-        let out = std::env::temp_dir().join(format!(
-            "sbgp-scenario-golden-{}-{threads}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&out).unwrap();
-        let status = std::process::Command::new(bin)
-            .args([
-                "scenario",
-                "--ases",
-                "150",
-                "--seed",
-                "42",
-                "--pairs",
-                "12",
-                "--attacks",
-                "hijack,downgrade",
-                "--policies",
-                "sec3,sec3+rov",
-                "--threads",
-                threads,
-                "--out",
-            ])
-            .arg(&out)
-            .stdout(std::process::Stdio::null())
-            .status()
-            .unwrap();
-        assert!(
-            status.success(),
-            "repro scenario failed at {threads} threads"
-        );
-        for f in files {
-            let want = std::fs::read(golden.join(f))
-                .unwrap_or_else(|e| panic!("missing golden fixture {f}: {e}"));
-            let got = std::fs::read(out.join(f))
-                .unwrap_or_else(|e| panic!("repro scenario produced no {f}: {e}"));
+    let narrow = [
+        "--attacks",
+        "hijack,downgrade",
+        "--policies",
+        "sec3,sec3+rov",
+    ];
+    for (matrix, prefix) in [(&narrow[..], "scenario"), (&[][..], "scenario_full")] {
+        for threads in ["1", "2", "4", "8"] {
+            let out = std::env::temp_dir().join(format!(
+                "sbgp-{prefix}-golden-{}-{threads}",
+                std::process::id()
+            ));
+            std::fs::create_dir_all(&out).unwrap();
+            let status = std::process::Command::new(bin)
+                .args(["scenario", "--ases", "150", "--seed", "42", "--pairs", "12"])
+                .args(matrix)
+                .args(["--threads", threads, "--out"])
+                .arg(&out)
+                .stdout(std::process::Stdio::null())
+                .status()
+                .unwrap();
             assert!(
-                want == got,
-                "{f} diverges from the golden snapshot at {threads} threads\n\
-                 --- golden ---\n{}\n--- got ---\n{}",
-                String::from_utf8_lossy(&want),
-                String::from_utf8_lossy(&got),
+                status.success(),
+                "repro scenario failed at {threads} threads"
             );
+            for table in ["surface", "deltas"] {
+                let f = format!("{prefix}_{table}.csv");
+                let want = std::fs::read(golden.join(&f))
+                    .unwrap_or_else(|e| panic!("missing golden fixture {f}: {e}"));
+                let got = std::fs::read(out.join(format!("scenario_{table}.csv")))
+                    .unwrap_or_else(|e| panic!("repro scenario produced no {table} table: {e}"));
+                assert!(
+                    want == got,
+                    "{f} diverges from the golden snapshot at {threads} threads\n\
+                     --- golden ---\n{}\n--- got ---\n{}",
+                    String::from_utf8_lossy(&want),
+                    String::from_utf8_lossy(&got),
+                );
+            }
+            let _ = std::fs::remove_dir_all(&out);
         }
-        let _ = std::fs::remove_dir_all(&out);
     }
 }
 
