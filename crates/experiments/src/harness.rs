@@ -1,13 +1,18 @@
 //! Checkpointed sweep execution.
 //!
 //! A [`SweepRunner`] wraps the unit loop of a θ-sweep (or any other
-//! multi-run figure): each unit is keyed by a label, finished units are
-//! persisted to `results/checkpoints/<cmd>.ckpt` every
-//! `--checkpoint-every` units (atomic write-rename, see
-//! [`sbgp_core::checkpoint`]), and `--resume` skips units whose results
-//! the checkpoint already holds. Because every simulation is
-//! deterministic, a resumed sweep is bit-identical to an uninterrupted
-//! one — `tests/determinism.rs` pins this down.
+//! multi-run figure): each unit is keyed by a label and, once finished,
+//! appended (fsync'd) to the write-ahead `<cmd>.journal` — that append
+//! *is* the durable write. The checkpoint `results/checkpoints/<cmd>.ckpt`
+//! (atomic write-rename, see [`sbgp_core::checkpoint`]) is the
+//! journal's compaction: it is rewritten no more often than every
+//! `--checkpoint-every` units *and* only once the journal holds as many
+//! units as the checkpoint did at its last save, so a sweep of `n`
+//! units rewrites it O(log n) times (after units 1, 2, 4, 8, … and at
+//! the end) instead of `n`. `--resume` loads the checkpoint, folds the
+//! journal in, and skips every unit either holds. Because every
+//! simulation is deterministic, a resumed sweep is bit-identical to an
+//! uninterrupted one — `tests/determinism.rs` pins this down.
 //!
 //! Checkpointing is off by default (no files written); it turns on when
 //! the user passes `--resume` or `--checkpoint-every N`.
@@ -74,8 +79,15 @@ pub struct SweepRunner {
     /// prefix in the store; displayed as a path under the out dir).
     artifact_dir: PathBuf,
     ckpt: SweepCheckpoint,
+    /// `--checkpoint-every`: the minimum spacing of two saves.
     every: usize,
+    /// Units journaled since the last save.
     since_save: usize,
+    /// Units the checkpoint held at its last save (or load). A save is
+    /// not due before the journal has grown that long: the rewrite
+    /// costs O(units held), so doubling between saves keeps a sweep's
+    /// total compaction work linear in its size.
+    saved_len: usize,
     reused: usize,
     /// Differential audits performed across all units this run.
     self_checked: usize,
@@ -152,6 +164,23 @@ impl SweepRunner {
     /// `--resume`, an existing file for the same fingerprint is loaded;
     /// a file from different parameters is a hard error.
     pub fn open(name: &str, opts: &Options, extra: &[String]) -> Result<Self, ExperimentError> {
+        let base_dir = match &opts.out {
+            Some(out) => out.clone(),
+            None => PathBuf::from("results"),
+        };
+        let store = opts.storage_at(&base_dir);
+        Self::open_in(name, opts, extra, store, &base_dir)
+    }
+
+    /// [`Self::open`] over a given store (`base_dir` only names it in
+    /// messages and roots the self-check artifacts).
+    fn open_in(
+        name: &str,
+        opts: &Options,
+        extra: &[String],
+        store: Store,
+        base_dir: &Path,
+    ) -> Result<Self, ExperimentError> {
         let mut parts = vec![
             format!("cmd={name}"),
             format!("ases={}", opts.ases),
@@ -162,11 +191,6 @@ impl SweepRunner {
         parts.extend(extra.iter().cloned());
         let fp = params_fingerprint(&parts);
 
-        let base_dir = match &opts.out {
-            Some(out) => out.clone(),
-            None => PathBuf::from("results"),
-        };
-        let store = opts.storage_at(&base_dir);
         let artifact_dir = base_dir.join("diffcheck");
         let ckpt_key = format!("checkpoints/{name}.ckpt");
         let ckpt_display = base_dir.join(&ckpt_key);
@@ -180,6 +204,7 @@ impl SweepRunner {
                 ckpt: SweepCheckpoint::new(fp),
                 every: usize::MAX,
                 since_save: 0,
+                saved_len: 0,
                 reused: 0,
                 self_checked: 0,
                 violations: 0,
@@ -246,6 +271,7 @@ impl SweepRunner {
             ckpt_key: Some(ckpt_key),
             ckpt_display,
             artifact_dir,
+            saved_len: ckpt.len(),
             ckpt,
             every: opts.checkpoint_every.max(1),
             since_save: 0,
@@ -318,7 +344,7 @@ impl SweepRunner {
 
     /// Shared bookkeeping for a freshly completed unit: integrity
     /// warnings, self-check artifacts, engine counters, the journal
-    /// append, and the checkpoint save cadence.
+    /// append (the durable write), and the amortised checkpoint save.
     fn record(
         &mut self,
         key: String,
@@ -370,9 +396,10 @@ impl SweepRunner {
         self.ckpt.insert(key, result);
         self.since_save += 1;
         if let Some(key) = &self.ckpt_key {
-            if self.since_save >= self.every {
+            if self.since_save >= self.every && self.since_save >= self.saved_len {
                 self.ckpt.save_to(&self.store, key)?;
                 self.since_save = 0;
+                self.saved_len = self.ckpt.len();
                 // Everything journaled is now in the checkpoint.
                 if let Some(journal) = self.journal.as_mut() {
                     journal.reset()?;
@@ -471,5 +498,173 @@ impl SweepRunner {
             let _ = self.store.unlock(lock, &lock_owner());
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::output::Table;
+    use crate::world::{THETAS, TIEBREAK};
+    use sbgp_asgraph::gen::{generate, GenParams};
+    use sbgp_asgraph::Weights;
+    use sbgp_core::storage::{InMemory, StorageBackend, StorageError};
+    use sbgp_core::{EarlyAdopters, SimConfig, Simulation};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    const CKPT: &str = "checkpoints/t.ckpt";
+    const JOURNAL: &str = "checkpoints/t.journal";
+    const LOCK: &str = "checkpoints/t.lock";
+
+    /// An in-memory backend that counts the `put_atomic`s of [`CKPT`].
+    struct Counting {
+        inner: InMemory,
+        ckpt_puts: Arc<AtomicUsize>,
+    }
+
+    impl StorageBackend for Counting {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn put_atomic(&self, key: &str, bytes: &[u8]) -> Result<(), StorageError> {
+            if key == CKPT {
+                self.ckpt_puts.fetch_add(1, Ordering::Relaxed);
+            }
+            self.inner.put_atomic(key, bytes)
+        }
+        fn get(&self, key: &str) -> Result<Option<Vec<u8>>, StorageError> {
+            self.inner.get(key)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>, StorageError> {
+            self.inner.list(prefix)
+        }
+        fn append_durable(&self, key: &str, bytes: &[u8]) -> Result<(), StorageError> {
+            self.inner.append_durable(key, bytes)
+        }
+        fn len(&self, key: &str) -> Result<Option<u64>, StorageError> {
+            self.inner.len(key)
+        }
+        fn truncate(&self, key: &str, len: u64) -> Result<(), StorageError> {
+            self.inner.truncate(key, len)
+        }
+        fn delete(&self, key: &str) -> Result<(), StorageError> {
+            self.inner.delete(key)
+        }
+        fn compare_and_swap(
+            &self,
+            key: &str,
+            expected: Option<&[u8]>,
+            new: &[u8],
+        ) -> Result<bool, StorageError> {
+            self.inner.compare_and_swap(key, expected, new)
+        }
+    }
+
+    /// What a SIGKILL at this instant leaves for the next process: every
+    /// key but the dead owner's lock, in a store of its own.
+    fn crash_image(store: &Store) -> Store {
+        let image = Store::in_memory();
+        for key in store.list("checkpoints/").unwrap() {
+            if key != LOCK {
+                image
+                    .put_atomic(&key, &store.get(&key).unwrap().unwrap())
+                    .unwrap();
+            }
+        }
+        image
+    }
+
+    /// Run all `units` through a runner over `store`; the CSV the sweep
+    /// would emit, and how many units had to be computed.
+    fn sweep(store: Store, opts: &Options, units: &[(String, SimResult)]) -> (String, usize) {
+        let mut runner =
+            SweepRunner::open_in("t", opts, &[], store, Path::new("mem")).expect("open");
+        let mut table = Table::new("t", &["unit", "rounds", "secure"]);
+        let mut computed = 0;
+        for (key, result) in units {
+            let res = runner
+                .run(key.clone(), || {
+                    computed += 1;
+                    result.clone()
+                })
+                .expect("run");
+            table.row(vec![
+                key.clone(),
+                res.rounds.len().to_string(),
+                res.final_state.count().to_string(),
+            ]);
+        }
+        runner.finish().expect("finish");
+        (table.to_csv(), computed)
+    }
+
+    #[test]
+    fn compaction_is_logarithmic_and_every_prefix_resumes_byte_identically() {
+        // A fig8-shaped sweep: 7 adopter sets x 7 thetas = 49 units.
+        let g = generate(&GenParams::new(120, 42)).graph;
+        let w = Weights::with_cp_fraction(&g, 0.10);
+        let mut units = Vec::new();
+        for k in 1..=7 {
+            let adopters = EarlyAdopters::TopIspsByDegree(k);
+            for &theta in &THETAS {
+                let cfg = SimConfig {
+                    theta,
+                    ..SimConfig::default()
+                };
+                let result = Simulation::new(&g, &w, &TIEBREAK, cfg).run(&adopters.select(&g));
+                units.push((crate::shards::theta_key(&adopters.label(), theta), result));
+            }
+        }
+        assert_eq!(units.len(), 49);
+        let opts = Options::parse(&["--checkpoint-every".into(), "1".into()]).unwrap();
+        let resume = Options {
+            resume: true,
+            ..opts.clone()
+        };
+
+        // Uninterrupted, over the counting store.
+        let ckpt_puts = Arc::new(AtomicUsize::new(0));
+        let counting = Store::new(Counting {
+            inner: InMemory::new(),
+            ckpt_puts: Arc::clone(&ckpt_puts),
+        });
+        let (want, computed) = sweep(counting, &opts, &units);
+        assert_eq!(computed, 49);
+        // Saves after units 1, 2, 4, 8, 16, 32 and in finish().
+        let puts = ckpt_puts.load(Ordering::Relaxed);
+        assert!(
+            puts <= 49usize.ilog2() as usize + 2,
+            "{puts} checkpoint rewrites for 49 units"
+        );
+
+        // Killed after each prefix of the run, resumed from what was left.
+        let store = Store::in_memory();
+        let mut runner =
+            SweepRunner::open_in("t", &opts, &[], store.clone(), Path::new("mem")).unwrap();
+        for done in 0..=units.len() {
+            // The largest save point at or below `done`.
+            let saved = if done == 0 { 0 } else { 1 << done.ilog2() };
+            for (what, drop_key, recovered) in [
+                ("journal and checkpoint", None, done),
+                ("checkpoint only", Some(JOURNAL), saved),
+                ("journal only", Some(CKPT), done - saved),
+            ] {
+                let image = crash_image(&store);
+                if let Some(key) = drop_key {
+                    image.delete(key).unwrap();
+                }
+                let (got, computed) = sweep(image, &resume, &units);
+                assert_eq!(got, want, "resume after {done} units from {what}");
+                assert_eq!(
+                    computed,
+                    units.len() - recovered,
+                    "units recomputed after {done} from {what}"
+                );
+            }
+            if let Some((key, result)) = units.get(done) {
+                runner.run(key.clone(), || result.clone()).unwrap();
+            }
+        }
     }
 }

@@ -225,7 +225,11 @@ COMMANDS
 
 FAULT TOLERANCE
   --resume              resume sweep commands (fig8/9/11/12) from checkpoint
-  --checkpoint-every N  persist sweep progress every N units (atomic rename)
+  --checkpoint-every N  journal every finished sweep unit (fsync'd append) and
+                        compact the journal into the checkpoint at most every
+                        N units, and only once it holds as many units as the
+                        checkpoint (saves after units 1, 2, 4, 8, ... and at
+                        the end); --resume reads both
   --fail-links R        degrade the topology: drop each link w.p. R (seeded)
   --max-retries N       retries before a panicking task is quarantined
   --disk-chaos SPEC     seeded fault injection on every artifact-store

@@ -255,65 +255,22 @@ pub fn worker_cmd(args: &[String]) -> Result<(), ExperimentError> {
     let bound = listener
         .local_addr()
         .map_err(|e| harness_err(&format!("local_addr: {e}")))?;
-    eprintln!("[worker] listening on {bound}");
-    if let Some(pf) = &port_file {
-        // Atomic publish (write-tmp, fsync, rename via the storage
-        // layer) so a test polling the file never reads a torn
-        // half-written address.
-        let path = std::path::Path::new(pf);
-        let (dir, name) = match (path.parent(), path.file_name().and_then(|n| n.to_str())) {
-            (Some(dir), Some(name)) if !name.is_empty() => (
-                if dir.as_os_str().is_empty() {
-                    std::path::Path::new(".")
-                } else {
-                    dir
-                },
-                name,
-            ),
-            _ => {
-                return Err(harness_err(&format!(
-                    "--port-file {pf} has no usable file name"
-                )))
-            }
-        };
-        sbgp_core::storage::Store::localdisk(dir)
-            .put_atomic(name, format!("{bound}\n").as_bytes())
-            .map_err(|e| harness_err(&format!("writing --port-file {pf}: {e}")))?;
-    }
-    // Graceful SIGTERM: latch the signal and poll it from a
-    // nonblocking accept loop (glibc's SA_RESTART means the signal
-    // never interrupts a blocking accept on its own). Mid-connection,
+    // Graceful SIGTERM: the listener's `accept` blocks until a
+    // coordinator or the signal arrives (the handler is installed
+    // before the address is advertised). Mid-connection,
     // `serve_worker_until` consults the same latch at unit boundaries:
     // the in-flight unit finishes, a goodbye frame goes out, and the
     // coordinator requeues the rest without burning restart budget.
-    crate::signals::install_term_handler();
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| harness_err(&format!("set_nonblocking: {e}")))?;
-    while !crate::signals::term_requested() {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-            Err(e) => {
-                eprintln!("[worker] accept failed: {e}");
-                continue;
-            }
-        };
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "?".to_string());
+    let listener = crate::signals::Listener::new(listener, "worker")
+        .map_err(|e| harness_err(&format!("preparing the listener: {e}")))?;
+    eprintln!("[worker] listening on {bound}");
+    if let Some(pf) = &port_file {
+        crate::serve::publish_port_file(std::path::Path::new(pf), &bound.to_string())?;
+    }
+    while let Some((stream, peer)) = listener.accept() {
+        let peer = peer.to_string();
         eprintln!("[worker] coordinator connected from {peer}");
         let _ = stream.set_nodelay(true);
-        // The accepted stream inherits the listener's nonblocking
-        // flag; frame reads must block again.
-        if let Err(e) = stream.set_nonblocking(false) {
-            eprintln!("[worker] set_nonblocking(false) on {peer} failed: {e}");
-            continue;
-        }
         serve_connection(stream, &peer);
     }
     eprintln!("[worker] SIGTERM: draining done, removing port file and exiting");

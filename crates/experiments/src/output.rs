@@ -65,7 +65,7 @@ impl Table {
     }
 
     /// The CSV rendering (header line plus one line per row).
-    fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut s = String::new();
         s.push_str(&self.columns.join(","));
         s.push('\n');

@@ -24,11 +24,12 @@ use sbgp_core::serve::{Admission, JobBoard, JobSpec, Phase};
 use sbgp_core::storage::Store;
 use sbgp_routing::RoutingAtlas;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The journal key (relative to the store base) the daemon queues under.
@@ -175,10 +176,32 @@ struct ServeStats {
 
 struct Daemon {
     board: Mutex<JobBoard>,
+    /// Notified after every board mutation ([`Daemon::update`]): the
+    /// idle executor and parked status requests wait on it.
+    changed: Condvar,
+    /// Status requests currently parked on `changed`.
+    parked_status: AtomicUsize,
     store: Store,
     opts: Options,
     base: PathBuf,
+    /// Lock order: `board` before `stats`, never the reverse.
     stats: Mutex<ServeStats>,
+}
+
+impl Daemon {
+    fn board(&self) -> MutexGuard<'_, JobBoard> {
+        self.board.lock().expect("board poisoned")
+    }
+
+    /// Mutate the board, then wake everything waiting on it: how
+    /// admission, requeue, completion and drain reach the executor and
+    /// the parked status requests ([`next_job`], which must keep its
+    /// guard to wait on, notifies for the start itself).
+    fn update<T>(&self, f: impl FnOnce(&mut JobBoard) -> T) -> T {
+        let out = f(&mut self.board());
+        self.changed.notify_all();
+        out
+    }
 }
 
 /// Run one job to its canonical CSV bytes. The job's own config
@@ -228,24 +251,36 @@ fn first_line(s: &str) -> &str {
     s.lines().next().unwrap_or(s)
 }
 
-/// The executor thread: pop → run → complete/fail, until SIGTERM. The
-/// in-flight job always finishes (drain checks only happen between
-/// jobs); the queue behind it stays journaled for the next start.
-fn executor(d: &Daemon) {
-    while !crate::signals::term_requested() {
-        let started = d.board.lock().expect("board poisoned").start_next();
-        let (id, spec, attempt) = match started {
-            Ok(Some(t)) => t,
-            Ok(None) => {
-                std::thread::sleep(Duration::from_millis(100));
-                continue;
+/// Block until a queued job has been started (journaled and popped) or
+/// the daemon drains (`None`). An empty queue waits on the board's
+/// condvar: admission, requeue and drain all notify it.
+fn next_job(d: &Daemon) -> Option<(String, JobSpec, u32)> {
+    let mut board = d.board();
+    while !board.draining() {
+        match board.start_next() {
+            Ok(Some(job)) => {
+                // queued → running is a phase change status requests
+                // are parked on.
+                d.changed.notify_all();
+                return Some(job);
             }
+            Ok(None) => board = d.changed.wait(board).expect("board poisoned"),
             Err(e) => {
+                drop(board);
                 eprintln!("[serve] journaling a job start failed: {e} (will retry)");
                 std::thread::sleep(Duration::from_millis(250));
-                continue;
+                board = d.board();
             }
-        };
+        }
+    }
+    None
+}
+
+/// The executor thread: pop → run → complete/fail, until the drain. The
+/// in-flight job always finishes (the drain is only looked at between
+/// jobs); the queue behind it stays journaled for the next start.
+fn executor(d: &Daemon) {
+    while let Some((id, spec, attempt)) = next_job(d) {
         if attempt > 1 {
             // Linearly capped exponential backoff before a retry; the
             // failed attempt's journal record already survived.
@@ -265,12 +300,17 @@ fn executor(d: &Daemon) {
                 // job and re-puts identical bytes).
                 let mut committed = false;
                 for _ in 0..8 {
-                    match d
-                        .board
-                        .lock()
-                        .expect("board poisoned")
-                        .complete(&id, &bytes)
-                    {
+                    // Counted under the board lock: a client that sees
+                    // `done` must never read a `/stats` without it.
+                    let commit = d.update(|board| {
+                        board.complete(&id, &bytes).map(|()| {
+                            let mut s = d.stats.lock().expect("stats poisoned");
+                            s.jobs_served += 1;
+                            s.total_ms += ms;
+                            s.max_ms = s.max_ms.max(ms);
+                        })
+                    });
+                    match commit {
                         Ok(()) => {
                             committed = true;
                             break;
@@ -280,10 +320,6 @@ fn executor(d: &Daemon) {
                     std::thread::sleep(Duration::from_millis(100));
                 }
                 if committed {
-                    let mut s = d.stats.lock().expect("stats poisoned");
-                    s.jobs_served += 1;
-                    s.total_ms += ms;
-                    s.max_ms = s.max_ms.max(ms);
                     eprintln!("[serve] job {id} ({}) done in {ms} ms", spec.cmd);
                 } else {
                     eprintln!(
@@ -293,7 +329,7 @@ fn executor(d: &Daemon) {
             }
             Err(msg) => {
                 d.stats.lock().expect("stats poisoned").failures += 1;
-                match d.board.lock().expect("board poisoned").fail(&id, &msg) {
+                match d.update(|board| board.fail(&id, &msg)) {
                     Ok(Phase::Parked) => eprintln!(
                         "[serve] job {id} ({}) PARKED as poisoned after {attempt} attempt(s): {}",
                         spec.cmd,
@@ -331,32 +367,71 @@ impl Request {
     }
 }
 
-/// Read one request. `Ok(None)` means the client went away before a
-/// full request arrived (the chaos suite's mid-stream disconnect probe
-/// — not an error, just a closed connection).
-fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
-    const MAX_HEAD: usize = 64 * 1024;
-    const MAX_BODY: usize = 1024 * 1024;
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
+/// Why no request came out of a connection.
+enum Rejected {
+    /// The client went away (or the socket failed) before a full
+    /// request arrived — the chaos suite's mid-stream disconnect probe.
+    /// Not an error, just a closed connection; nothing to answer.
+    Closed,
+    /// No header terminator within [`MAX_HEAD`] bytes: `431`.
+    HeadTooLarge,
+    /// `content-length` above [`MAX_BODY`]: `413`.
+    BodyTooLarge,
+    /// The whole request did not arrive within [`REQUEST_DEADLINE`]: `408`.
+    Overdue,
+}
+
+const MAX_HEAD: usize = 64 * 1024;
+const MAX_BODY: usize = 1024 * 1024;
+/// One budget for the whole request, head and body: a client dripping a
+/// byte at a time holds a handler thread this long, not for hours.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+const HEAD_END: &[u8] = b"\r\n\r\n";
+
+/// Append the next bytes of `stream` to `buf`, within `deadline`.
+fn read_more(stream: &mut TcpStream, buf: &mut Vec<u8>, deadline: Instant) -> Result<(), Rejected> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(Rejected::Overdue);
+    }
+    let _ = stream.set_read_timeout(Some(left));
     let mut chunk = [0u8; 4096];
+    match stream.read(&mut chunk) {
+        Ok(0) => Err(Rejected::Closed),
+        Ok(n) => {
+            buf.extend_from_slice(&chunk[..n]);
+            Ok(())
+        }
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            Err(Rejected::Overdue)
+        }
+        Err(_) => Err(Rejected::Closed),
+    }
+}
+
+/// Read one request, or say why there is none to answer.
+fn read_request(stream: &mut TcpStream) -> Result<Request, Rejected> {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let mut buf: Vec<u8> = Vec::with_capacity(1024);
+    // Bytes already searched for the terminator: each read resumes the
+    // search just before the old end instead of rescanning the buffer.
+    let mut searched = 0;
     let head_end = loop {
-        if let Some(pos) = find_subslice(&buf, b"\r\n\r\n") {
-            break pos;
+        if let Some(pos) = find_subslice(&buf[searched..], HEAD_END) {
+            break searched + pos;
         }
+        searched = buf.len().saturating_sub(HEAD_END.len() - 1);
         if buf.len() > MAX_HEAD {
-            return Ok(None);
+            return Err(Rejected::HeadTooLarge);
         }
-        match stream.read(&mut chunk)? {
-            0 => return Ok(None),
-            n => buf.extend_from_slice(&chunk[..n]),
-        }
+        read_more(stream, &mut buf, deadline)?;
     };
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
     let mut lines = head.lines();
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
-        return Ok(None);
+        return Err(Rejected::Closed);
     };
     let headers: Vec<(String, String)> = lines
         .filter_map(|l| {
@@ -364,34 +439,62 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
                 .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
         })
         .collect();
-    let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
+    let mut body: Vec<u8> = buf[head_end + HEAD_END.len()..].to_vec();
     let want: usize = headers
         .iter()
         .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
         .and_then(|(_, v)| v.parse().ok())
         .unwrap_or(0);
     if want > MAX_BODY {
-        return Ok(None);
+        return Err(Rejected::BodyTooLarge);
     }
     while body.len() < want {
-        match stream.read(&mut chunk)? {
-            0 => return Ok(None),
-            n => body.extend_from_slice(&chunk[..n]),
-        }
+        read_more(stream, &mut body, deadline)?;
     }
     body.truncate(want);
-    Ok(Some(Request {
+    Ok(Request {
         method: method.to_string(),
         path: path.to_string(),
         headers,
         body,
-    }))
+    })
 }
 
 fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack.windows(needle.len()).position(|w| w == needle)
 }
 
+/// Answer a connection that produced no request with its typed status,
+/// then close without resetting: the client may still be sending, and
+/// closing a socket with unread input makes the kernel answer with a
+/// reset that can destroy the response in flight. So say we are done
+/// writing and swallow what is left, briefly.
+fn reject(stream: &mut TcpStream, why: Rejected) {
+    let (status, reason, error) = match why {
+        Rejected::Closed => return,
+        Rejected::HeadTooLarge => (
+            431,
+            "Request Header Fields Too Large",
+            "request head exceeds 64 KiB",
+        ),
+        Rejected::BodyTooLarge => (413, "Payload Too Large", "request body exceeds 1 MiB"),
+        Rejected::Overdue => (408, "Request Timeout", "request did not arrive within 5 s"),
+    };
+    respond_json(
+        stream,
+        status,
+        reason,
+        &format!("{{\"error\":\"{error}\"}}"),
+    );
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let until = Instant::now() + Duration::from_millis(250);
+    let mut sink = [0u8; 4096];
+    while Instant::now() < until && matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+}
+
+/// One buffer, one write: a head and a body written separately are two
+/// segments, and the second can wait on the first one's ACK.
 fn respond(
     stream: &mut TcpStream,
     status: u16,
@@ -400,17 +503,17 @@ fn respond(
     body: &[u8],
     extra: &[(&str, String)],
 ) {
-    let mut head = format!(
+    let mut out = format!(
         "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: close\r\n",
         body.len()
     );
     for (k, v) in extra {
-        head.push_str(&format!("{k}: {v}\r\n"));
+        out.push_str(&format!("{k}: {v}\r\n"));
     }
-    head.push_str("\r\n");
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body);
-    let _ = stream.flush();
+    out.push_str("\r\n");
+    let mut out = out.into_bytes();
+    out.extend_from_slice(body);
+    let _ = stream.write_all(&out);
 }
 
 fn respond_json(stream: &mut TcpStream, status: u16, reason: &str, json: &str) {
@@ -549,8 +652,34 @@ fn parse_json_object(text: &str) -> Result<HashMap<String, String>, String> {
 // Endpoints
 // ---------------------------------------------------------------------
 
+/// How long a status request for an unfinished job waits for news
+/// before it answers anyway — what every request cost while the accept
+/// loop slept between polls, now spent only where it paces a poller.
+const STATUS_PARK: Duration = Duration::from_millis(50);
+/// Status requests parked at once; each holds a handler thread, so
+/// beyond this they answer immediately.
+const MAX_PARKED_STATUS: usize = 64;
+
+/// `GET /jobs/:id`. A job that is still queued or running parks the
+/// request on the board's condvar until the job changes phase, the
+/// daemon drains, or [`STATUS_PARK`] passes: a client polling in a
+/// tight loop gets ~20 answers a second instead of thousands, and the
+/// answer it is waiting for arrives the moment it exists.
 fn job_status_json(d: &Daemon, id: &str) -> Option<String> {
-    let board = d.board.lock().expect("board poisoned");
+    let mut board = d.board();
+    let phase = board.job(id)?.phase;
+    if matches!(phase, Phase::Queued | Phase::Running) {
+        if d.parked_status.fetch_add(1, Ordering::Relaxed) < MAX_PARKED_STATUS {
+            let unchanged =
+                |b: &mut JobBoard| !b.draining() && b.job(id).is_some_and(|j| j.phase == phase);
+            board = d
+                .changed
+                .wait_timeout_while(board, STATUS_PARK, unchanged)
+                .expect("board poisoned")
+                .0;
+        }
+        d.parked_status.fetch_sub(1, Ordering::Relaxed);
+    }
     let j = board.job(id)?;
     let error = match &j.error {
         Some(e) => format!(",\"error\":\"{}\"", json_escape(first_line(e))),
@@ -594,7 +723,7 @@ fn post_job(d: &Daemon, req: &Request, fallback_client: &str, stream: &mut TcpSt
         return respond_json(stream, 400, "Bad Request", &body);
     }
     let spec = JobSpec::new(cmd, &config);
-    let admission = d.board.lock().expect("board poisoned").submit(spec, client);
+    let admission = d.update(|board| board.submit(spec, client));
     match admission {
         Err(e) => {
             let body = format!("{{\"error\":\"{}\"}}", json_escape(&e.to_string()));
@@ -659,10 +788,7 @@ fn post_job(d: &Daemon, req: &Request, fallback_client: &str, stream: &mut TcpSt
 }
 
 fn get_result(d: &Daemon, id: &str, stream: &mut TcpStream) {
-    let phase = {
-        let board = d.board.lock().expect("board poisoned");
-        board.job(id).map(|j| j.phase)
-    };
+    let phase = d.board().job(id).map(|j| j.phase);
     match phase {
         None => respond_json(stream, 404, "Not Found", "{\"error\":\"no such job\"}"),
         Some(Phase::Done) => match d.store.get(&JobBoard::result_key(id)) {
@@ -695,7 +821,7 @@ fn get_result(d: &Daemon, id: &str, stream: &mut TcpStream) {
 
 fn stats_json(d: &Daemon) -> String {
     let (queued, running, done, parked, cache_hits, draining) = {
-        let board = d.board.lock().expect("board poisoned");
+        let board = d.board();
         let (q, r, dn, p) = board.counts();
         (q, r, dn, p, board.cache_hits, board.draining())
     };
@@ -720,12 +846,9 @@ fn stats_json(d: &Daemon) -> String {
 }
 
 fn handle_connection(mut stream: TcpStream, peer: SocketAddr, d: &Daemon) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let req = match read_request(&mut stream) {
-        Ok(Some(r)) => r,
-        // EOF mid-request (client disconnect) or a read fault: nothing
-        // to answer, and nothing daemon-side may wedge on it.
-        Ok(None) | Err(_) => return,
+        Ok(r) => r,
+        Err(why) => return reject(&mut stream, why),
     };
     let fallback_client = req
         .header("x-client")
@@ -734,7 +857,7 @@ fn handle_connection(mut stream: TcpStream, peer: SocketAddr, d: &Daemon) {
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/jobs") => post_job(d, &req, &fallback_client, &mut stream),
         ("GET", "/healthz") => {
-            let draining = d.board.lock().expect("board poisoned").draining();
+            let draining = d.board().draining();
             let body = format!("{{\"ok\":true,\"draining\":{draining}}}");
             respond_json(&mut stream, 200, "OK", &body);
         }
@@ -786,13 +909,11 @@ pub(crate) fn http_request(
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     let b = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: repro-serve\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nhost: repro-serve\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{b}",
         b.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(b.as_bytes())?;
-    stream.flush()?;
+    stream.write_all(request.as_bytes())?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
     let head_end = find_subslice(&raw, b"\r\n\r\n")
@@ -810,7 +931,7 @@ pub(crate) fn http_request(
 // The daemon entry point
 // ---------------------------------------------------------------------
 
-fn publish_port_file(pf: &std::path::Path, bound: &str) -> Result<(), ExperimentError> {
+pub(crate) fn publish_port_file(pf: &std::path::Path, bound: &str) -> Result<(), ExperimentError> {
     // Atomic publish (write-tmp, fsync, rename via the storage layer)
     // so a poller never reads a torn half-written address — the same
     // idiom as `repro worker`.
@@ -840,7 +961,7 @@ fn write_serve_bench(d: &Daemon) {
         let s = d.stats.lock().expect("stats poisoned");
         (s.jobs_served, s.total_ms, s.max_ms)
     };
-    let cache_hits = d.board.lock().expect("board poisoned").cache_hits;
+    let cache_hits = d.board().cache_hits;
     let (ahits, amisses, _, abytes) = atlas_cache_stats();
     let mean_ms = if jobs_served > 0 {
         total_ms as f64 / jobs_served as f64
@@ -898,6 +1019,11 @@ pub fn serve_cmd(opts: &Options) -> Result<(), ExperimentError> {
     let bound = listener
         .local_addr()
         .map_err(|e| ExperimentError::Harness(format!("local_addr: {e}")))?;
+    // SIGTERM is latched from here on — before the address is
+    // advertised, so no client can reach a daemon that would still die
+    // of the signal's default action.
+    let listener = crate::signals::Listener::new(listener, "serve")
+        .map_err(|e| ExperimentError::Harness(format!("preparing the listener: {e}")))?;
     eprintln!(
         "[serve] listening on {bound} (queue bound {}, per-client cap {}, atlas budget {} MiB)",
         opts.queue_bound, opts.client_inflight, opts.ctx_cache_mb
@@ -905,12 +1031,10 @@ pub fn serve_cmd(opts: &Options) -> Result<(), ExperimentError> {
     if let Some(pf) = &opts.port_file {
         publish_port_file(pf, &bound.to_string())?;
     }
-    crate::signals::install_term_handler();
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ExperimentError::Harness(format!("set_nonblocking: {e}")))?;
     let daemon = Arc::new(Daemon {
         board: Mutex::new(board),
+        changed: Condvar::new(),
+        parked_status: AtomicUsize::new(0),
         store: store.clone(),
         opts: opts.clone(),
         base,
@@ -921,26 +1045,17 @@ pub fn serve_cmd(opts: &Options) -> Result<(), ExperimentError> {
         std::thread::spawn(move || executor(&d))
     };
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    // Nonblocking accept + poll: glibc's SA_RESTART means SIGTERM never
-    // interrupts a blocking accept on its own (same loop as `repro
-    // worker`).
-    while !crate::signals::term_requested() {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let d = Arc::clone(&daemon);
-                handlers.push(std::thread::spawn(move || {
-                    handle_connection(stream, peer, &d)
-                }));
-                handlers.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(e) => eprintln!("[serve] accept: {e}"),
-        }
+    // Blocks until a connection or SIGTERM: nothing on the request path
+    // waits for a timer.
+    while let Some((stream, peer)) = listener.accept() {
+        let d = Arc::clone(&daemon);
+        handlers.push(std::thread::spawn(move || {
+            handle_connection(stream, peer, &d)
+        }));
+        handlers.retain(|h| !h.is_finished());
     }
     eprintln!("[serve] SIGTERM: draining — no new admissions, finishing the in-flight job");
-    daemon.board.lock().expect("board poisoned").begin_drain();
+    daemon.update(JobBoard::begin_drain);
     let _ = exec.join();
     for h in handlers {
         let _ = h.join();
@@ -954,7 +1069,7 @@ pub fn serve_cmd(opts: &Options) -> Result<(), ExperimentError> {
         // typed failure) instead of finding a stale file.
         let _ = std::fs::remove_file(pf);
     }
-    let (queued, running, done, parked) = daemon.board.lock().expect("board poisoned").counts();
+    let (queued, running, done, parked) = daemon.board().counts();
     eprintln!(
         "[serve] drained: {done} done, {parked} parked; journal retains {} job(s) for the next start",
         queued + running

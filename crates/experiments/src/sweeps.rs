@@ -2,8 +2,9 @@
 //!
 //! Each sweep cell (one early-adopter set × one θ, plus any per-figure
 //! dimensions) is a checkpoint unit: with `--checkpoint-every N`,
-//! finished cells are persisted every `N` units, and `--resume` reloads
-//! them instead of recomputing — see [`crate::harness::SweepRunner`].
+//! every finished cell is journaled, the journal is compacted into the
+//! checkpoint at most every `N` units, and `--resume` reloads both
+//! instead of recomputing — see [`crate::harness::SweepRunner`].
 
 use crate::cli::Options;
 use crate::error::ExperimentError;

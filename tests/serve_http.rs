@@ -8,6 +8,14 @@
 //! past the queue bound yields a typed `429` with a `retry-after` hint
 //! while `/healthz` stays responsive; and SIGTERM drains to exit 0 and
 //! removes the port file.
+//!
+//! The front end is event-driven, and that is under test too: a request
+//! that needs no job answers in well under the 50 ms every request used
+//! to cost; a status request for an unfinished job parks until there is
+//! news (at most ~50 ms), so a client polling in a tight loop is paced
+//! and still learns of the completion at once; the drain wakes
+//! everything that waits; and hostile requests (byte drip, oversize
+//! head or body) draw a typed status without taking `/healthz` down.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -102,15 +110,23 @@ impl Daemon {
         }
     }
 
-    /// `kill -TERM`, then insist on a clean exit 0 within the deadline.
-    fn sigterm_and_wait(mut self) {
-        let pid = self.child.id().to_string();
+    fn sigterm(&self) {
         let ok = Command::new("kill")
-            .args(["-TERM", &pid])
+            .args(["-TERM", &self.child.id().to_string()])
             .status()
             .expect("kill runs")
             .success();
         assert!(ok, "kill -TERM failed");
+    }
+
+    /// `kill -TERM`, then insist on a clean exit 0 within the deadline.
+    fn sigterm_and_wait(self) {
+        self.sigterm();
+        self.wait_drained();
+    }
+
+    /// After a SIGTERM: insist on a clean exit 0 within the deadline.
+    fn wait_drained(mut self) {
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
             match self.child.try_wait().expect("try_wait") {
@@ -120,7 +136,7 @@ impl Daemon {
                 }
                 None => {
                     assert!(Instant::now() < deadline, "daemon never drained");
-                    std::thread::sleep(Duration::from_millis(50));
+                    std::thread::sleep(Duration::from_millis(5));
                 }
             }
         }
@@ -292,5 +308,242 @@ fn worker_drains_gracefully_on_sigterm() {
         }
     }
     assert!(!pf.exists(), "worker port file survived a graceful drain");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn median_ms(mut samples: Vec<Duration>) -> f64 {
+    samples.sort();
+    samples[samples.len() / 2].as_secs_f64() * 1e3
+}
+
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed())
+}
+
+fn status_of(addr: &str, id: &str) -> String {
+    let (st, _, body) = http(addr, "GET", &format!("/jobs/{id}"), "");
+    assert_eq!(st, 200, "status poll: {body}");
+    field(&body, "status").expect("status field")
+}
+
+/// A small job: ~0.1 s in a release build, ~1 s in a debug one.
+const SMALL: &str = "ases = 150\\nseed = 7\\n";
+
+#[test]
+fn requests_that_run_no_job_answer_in_milliseconds() {
+    let dir = tmp("latency");
+    let d = Daemon::spawn(&dir, &[]);
+    let healthz: Vec<Duration> = (0..20)
+        .map(|_| timed(|| assert_eq!(http(&d.addr, "GET", "/healthz", "").0, 200)).1)
+        .collect();
+    let ms = median_ms(healthz);
+    assert!(ms < 20.0, "median GET /healthz took {ms:.1} ms");
+
+    let (st, _, body) = submit(&d.addr, "fig9", SMALL);
+    assert_eq!(st, 202, "admission: {body}");
+    let id = field(&body, "id").expect("id");
+    // No sleep between polls: the daemon paces them.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while status_of(&d.addr, &id) != "done" {
+        assert!(Instant::now() < deadline, "job never finished");
+    }
+    // The job is counted before `done` is visible, not after.
+    let (_, _, stats) = http(&d.addr, "GET", "/stats", "");
+    assert_eq!(field(&stats, "done").as_deref(), Some("1"), "{stats}");
+    assert_eq!(
+        field(&stats, "jobs_served").as_deref(),
+        Some("1"),
+        "{stats}"
+    );
+
+    let cached: Vec<Duration> = (0..20)
+        .map(|_| {
+            timed(|| {
+                let (st, _, body) = submit(&d.addr, "fig9", SMALL);
+                assert_eq!(st, 200, "cached admission: {body}");
+                assert_eq!(field(&body, "cached").as_deref(), Some("true"));
+                let (st, _, _) = http(&d.addr, "GET", &format!("/jobs/{id}/result"), "");
+                assert_eq!(st, 200);
+            })
+            .1
+        })
+        .collect();
+    let ms = median_ms(cached);
+    assert!(ms < 20.0, "median cached POST + GET result took {ms:.1} ms");
+
+    // An idle executor sleeps on the board's condvar; only the drain's
+    // notify can end that sleep.
+    let ((), drain) = timed(|| d.sigterm_and_wait());
+    assert!(
+        drain < Duration::from_millis(500),
+        "idle drain took {drain:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn status_requests_park_until_there_is_news() {
+    let dir = tmp("park");
+    let d = Daemon::spawn(&dir, &[]);
+    let (st, _, body) = submit(&d.addr, "fig9", CONFIG);
+    assert_eq!(st, 202, "admission: {body}");
+    let id = field(&body, "id").expect("id");
+
+    // `/stats` never parks: a tight loop over it sees the completion
+    // within a request's round trip.
+    let observer = {
+        let addr = d.addr.clone();
+        std::thread::spawn(move || loop {
+            let (_, _, stats) = http(&addr, "GET", "/stats", "");
+            if field(&stats, "done").as_deref() == Some("1") {
+                return Instant::now();
+            }
+        })
+    };
+    // The same tight loop over the job's status is paced by the daemon.
+    let t0 = Instant::now();
+    let mut unfinished = 0u32;
+    let mut slowest = Duration::ZERO;
+    let (seen_done, running_for) = loop {
+        let (phase, took) = timed(|| status_of(&d.addr, &id));
+        if phase == "done" {
+            break (Instant::now(), t0.elapsed());
+        }
+        unfinished += 1;
+        slowest = slowest.max(took);
+        assert!(
+            t0.elapsed() < Duration::from_secs(300),
+            "job never finished"
+        );
+    };
+    let observed_done = observer.join().expect("observer thread");
+    assert!(unfinished >= 1, "the job finished before its first poll");
+    let budget = 25.0 * running_for.as_secs_f64() + 5.0;
+    assert!(
+        f64::from(unfinished) <= budget,
+        "{unfinished} status answers in {running_for:?}: the poller was not paced"
+    );
+    assert!(
+        slowest < Duration::from_millis(150),
+        "a status request for an unfinished job took {slowest:?}, not ~50 ms"
+    );
+    // The request that was parked when the job finished was woken by
+    // the completion, not by its timer.
+    let lag = seen_done.saturating_duration_since(observed_done);
+    assert!(
+        lag < Duration::from_millis(20),
+        "the parked request learned of the completion {lag:?} after /stats showed it"
+    );
+
+    // SIGTERM while a status request is parked on a running job: the
+    // drain wakes it, it gets its whole answer, and the daemon exits 0
+    // once the job in flight has finished.
+    let cfg = "ases = 300\\nseed = 8\\n";
+    let (st, _, body) = submit(&d.addr, "fig9", cfg);
+    assert_eq!(st, 202, "second admission: {body}");
+    let id = field(&body, "id").expect("id");
+    while status_of(&d.addr, &id) == "queued" {}
+    let parked = {
+        let (addr, id) = (d.addr.clone(), id.clone());
+        std::thread::spawn(move || timed(|| status_of(&addr, &id)))
+    };
+    std::thread::sleep(Duration::from_millis(10));
+    d.sigterm();
+    let (phase, took) = parked.join().expect("parked request thread");
+    assert!(
+        phase == "running" || phase == "done",
+        "parked request across SIGTERM answered {phase:?}"
+    );
+    assert!(
+        took < Duration::from_millis(150),
+        "parked request took {took:?}"
+    );
+    d.wait_drained();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Send `request` raw and read whatever comes back until EOF.
+fn raw_exchange(addr: &str, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    stream.write_all(request).expect("write request");
+    let mut raw = Vec::new();
+    let _ = stream.read_to_end(&mut raw);
+    String::from_utf8_lossy(&raw).into_owned()
+}
+
+#[test]
+fn hostile_requests_get_typed_statuses_and_healthz_stays_live() {
+    let dir = tmp("hostile");
+    let d = Daemon::spawn(&dir, &[]);
+
+    // A byte at a time, never finishing the head: one deadline covers
+    // the whole request, so this draws a 408 after ~5 s, not never.
+    let drip = {
+        let addr = d.addr.clone();
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(&addr).expect("connect to daemon");
+            let mut reader = stream.try_clone().expect("clone stream");
+            let reader = std::thread::spawn(move || {
+                let mut raw = Vec::new();
+                let _ = reader.read_to_end(&mut raw);
+                (String::from_utf8_lossy(&raw).into_owned(), Instant::now())
+            });
+            let t0 = Instant::now();
+            for byte in b"GET /healthz HTTP/1.1\r\nx-drip: "
+                .iter()
+                .chain([b'a'].iter().cycle())
+            {
+                if stream.write_all(&[*byte]).is_err() || t0.elapsed() > Duration::from_secs(20) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            let (answer, at) = reader.join().expect("reader thread");
+            (answer, at.duration_since(t0))
+        })
+    };
+
+    // Meanwhile the daemon answers everyone else at full speed.
+    let healthz: Vec<Duration> = (0..20)
+        .map(|_| timed(|| assert_eq!(http(&d.addr, "GET", "/healthz", "").0, 200)).1)
+        .collect();
+    let ms = median_ms(healthz);
+    assert!(
+        ms < 20.0,
+        "median GET /healthz under a drip took {ms:.1} ms"
+    );
+
+    // 64 KiB of head and no end in sight.
+    let mut head = b"GET /healthz HTTP/1.1\r\nx-filler: ".to_vec();
+    head.resize(70 * 1024, b'a');
+    let answer = raw_exchange(&d.addr, &head);
+    assert!(
+        answer.starts_with("HTTP/1.1 431 "),
+        "oversize head: {answer:?}"
+    );
+
+    // A body the daemon will not buffer, declared up front.
+    let answer = raw_exchange(
+        &d.addr,
+        b"POST /jobs HTTP/1.1\r\ncontent-length: 2000000\r\n\r\n{",
+    );
+    assert!(
+        answer.starts_with("HTTP/1.1 413 "),
+        "oversize body: {answer:?}"
+    );
+
+    let (answer, after) = drip.join().expect("drip thread");
+    assert!(answer.starts_with("HTTP/1.1 408 "), "byte drip: {answer:?}");
+    assert!(
+        after > Duration::from_secs(4) && after < Duration::from_secs(8),
+        "the drip was answered after {after:?}, not at the 5 s deadline"
+    );
+    assert_eq!(http(&d.addr, "GET", "/healthz", "").0, 200);
+    d.sigterm_and_wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
