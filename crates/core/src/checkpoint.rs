@@ -19,9 +19,12 @@
 //! ([`codec`]) — persistence does not depend on any serialization
 //! crate.
 //!
+//! Everything persists through a [`Store`] under a caller-chosen key;
+//! over local disk that is one file per key beneath the store's root.
+//!
 //! A checkpoint also stores a fingerprint of the sweep parameters
 //! (graph size, seed, thread-irrelevant knobs — whatever the caller
-//! hashes via [`params_fingerprint`]); [`SweepCheckpoint::load`]
+//! hashes via [`params_fingerprint`]); [`SweepCheckpoint::load_from`]
 //! refuses to resume against a checkpoint written under different
 //! parameters instead of silently mixing incompatible results.
 
@@ -29,34 +32,13 @@ use crate::sim::SimResult;
 use crate::storage::{StorageError, Store};
 use std::collections::HashMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
-
-/// A [`Store`] + key pair addressing one artifact file at `path` — the
-/// bridge that keeps the historical path-based API alive on top of the
-/// storage trait: a [`LocalDisk`](crate::storage::LocalDisk) rooted at
-/// the file's parent directory with the file name as the key, which
-/// writes byte-for-byte what the pre-trait code wrote.
-pub fn file_store(path: &Path) -> Result<(Store, String), CheckpointError> {
-    let parent = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| CheckpointError::Io {
-            path: path.to_path_buf(),
-            message: "path has no usable file name".into(),
-        })?
-        .to_string();
-    Ok((Store::localdisk(parent), name))
-}
+use std::path::PathBuf;
 
 /// Map a storage failure onto the checkpoint error vocabulary, naming
-/// the artifact by its human-facing path.
-fn store_io(display: &Path, e: StorageError) -> CheckpointError {
+/// the artifact by its key.
+fn store_io(key: &str, e: StorageError) -> CheckpointError {
     CheckpointError::Io {
-        path: display.to_path_buf(),
+        path: PathBuf::from(key),
         message: e.to_string(),
     }
 }
@@ -199,28 +181,17 @@ impl SweepCheckpoint {
         self.units.iter().map(|(k, r)| (k.as_str(), r))
     }
 
-    /// Persist atomically: encode to `<path>.tmp`, then rename over
-    /// `path`. A crash mid-save leaves the previous checkpoint intact.
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let (store, key) = file_store(path)?;
-        self.save_impl(&store, &key, path)
-    }
-
-    /// Persist atomically under `key` in `store` — the backend-generic
-    /// form of [`Self::save`], with the same atomic-replace guarantee
-    /// ([`crate::storage::StorageBackend::put_atomic`]'s contract).
+    /// Persist atomically under `key` in `store`
+    /// ([`crate::storage::StorageBackend::put_atomic`]'s contract): a
+    /// crash mid-save leaves the previous checkpoint intact.
     pub fn save_to(&self, store: &Store, key: &str) -> Result<(), CheckpointError> {
-        self.save_impl(store, key, Path::new(key))
-    }
-
-    fn save_impl(&self, store: &Store, key: &str, display: &Path) -> Result<(), CheckpointError> {
         let mut text = String::new();
         text.push_str(HEADER);
         text.push('\n');
         text.push_str(&format!("fingerprint {:016x}\n", self.fingerprint));
         text.push_str(&format!("units {}\n", self.units.len()));
-        for (key, result) in &self.units {
-            text.push_str(&format!("unit {}\n", codec::hex_str(key)));
+        for (unit, result) in &self.units {
+            text.push_str(&format!("unit {}\n", codec::hex_str(unit)));
             codec::encode_result(&mut text, result);
         }
         text.push_str("end\n");
@@ -229,10 +200,10 @@ impl SweepCheckpoint {
         // decoder would not reproduce bit-for-bit (a codec bug caught
         // at save time costs one re-run; caught at resume time it costs
         // the whole checkpoint).
-        let reread = Self::parse(&text, display, Some(self.fingerprint))?;
+        let reread = Self::parse(&text, key, Some(self.fingerprint))?;
         if reread != *self {
             return Err(CheckpointError::Corrupt {
-                path: display.to_path_buf(),
+                path: PathBuf::from(key),
                 line: 0,
                 message: "encode/decode round-trip mismatch (codec bug); refusing to save".into(),
             });
@@ -240,7 +211,7 @@ impl SweepCheckpoint {
 
         store
             .put_atomic(key, text.as_bytes())
-            .map_err(|e| store_io(display, e))
+            .map_err(|e| store_io(key, e))
     }
 
     /// Parse checkpoint text. With `expected_fingerprint = Some(f)`,
@@ -248,11 +219,11 @@ impl SweepCheckpoint {
     /// accepts any fingerprint (the `doctor` inspection path).
     fn parse(
         text: &str,
-        path: &Path,
+        key: &str,
         expected_fingerprint: Option<u64>,
     ) -> Result<Self, CheckpointError> {
         let corrupt = |line: usize, message: String| CheckpointError::Corrupt {
-            path: path.to_path_buf(),
+            path: PathBuf::from(key),
             line,
             message,
         };
@@ -265,7 +236,7 @@ impl SweepCheckpoint {
         if let Some(expected) = expected_fingerprint {
             if fingerprint != expected {
                 return Err(CheckpointError::ParamsMismatch {
-                    path: path.to_path_buf(),
+                    path: PathBuf::from(key),
                     expected,
                     found: fingerprint,
                 });
@@ -289,80 +260,54 @@ impl SweepCheckpoint {
 
     /// Read and decode the checkpoint at `key`, or `None` if it does
     /// not exist.
-    fn read_impl(
+    fn read(
         store: &Store,
         key: &str,
-        display: &Path,
         expected_fingerprint: Option<u64>,
     ) -> Result<Option<Self>, CheckpointError> {
-        let Some(bytes) = store.get(key).map_err(|e| store_io(display, e))? else {
+        let Some(bytes) = store.get(key).map_err(|e| store_io(key, e))? else {
             return Ok(None);
         };
         let text = String::from_utf8(bytes).map_err(|e| CheckpointError::Corrupt {
-            path: display.to_path_buf(),
+            path: PathBuf::from(key),
             line: 0,
             message: format!("checkpoint is not UTF-8: {e}"),
         })?;
-        Self::parse(&text, display, expected_fingerprint).map(Some)
+        Self::parse(&text, key, expected_fingerprint).map(Some)
     }
 
-    fn missing(display: &Path) -> CheckpointError {
+    fn missing(key: &str) -> CheckpointError {
         CheckpointError::Io {
-            path: display.to_path_buf(),
+            path: PathBuf::from(key),
             message: "no such checkpoint".into(),
         }
     }
 
-    /// Load a checkpoint, verifying it belongs to a sweep whose
-    /// parameters hash to `expected_fingerprint`.
-    pub fn load(path: &Path, expected_fingerprint: u64) -> Result<Self, CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::read_impl(&store, &key, path, Some(expected_fingerprint))?
-            .ok_or_else(|| Self::missing(path))
-    }
-
-    /// Backend-generic [`Self::load`].
+    /// Load the checkpoint at `key`, verifying it belongs to a sweep
+    /// whose parameters hash to `expected_fingerprint`.
     pub fn load_from(
         store: &Store,
         key: &str,
         expected_fingerprint: u64,
     ) -> Result<Self, CheckpointError> {
-        Self::read_impl(store, key, Path::new(key), Some(expected_fingerprint))?
-            .ok_or_else(|| Self::missing(Path::new(key)))
+        Self::read(store, key, Some(expected_fingerprint))?.ok_or_else(|| Self::missing(key))
     }
 
-    /// Validate and load a checkpoint file without knowing the sweep
+    /// Validate and load a checkpoint without knowing the sweep
     /// parameters it was written under (fingerprint is reported, not
     /// checked) — the `repro doctor` inspection path.
-    pub fn inspect(path: &Path) -> Result<Self, CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::read_impl(&store, &key, path, None)?.ok_or_else(|| Self::missing(path))
-    }
-
-    /// Backend-generic [`Self::inspect`] — `doctor` validates any
-    /// backend's checkpoints through this one entry point.
     pub fn inspect_from(store: &Store, key: &str) -> Result<Self, CheckpointError> {
-        Self::read_impl(store, key, Path::new(key), None)?
-            .ok_or_else(|| Self::missing(Path::new(key)))
+        Self::read(store, key, None)?.ok_or_else(|| Self::missing(key))
     }
 
-    /// Resume if `path` exists, start fresh otherwise. Corrupt files
+    /// Resume if `key` exists, start fresh otherwise. Corrupt files
     /// and parameter mismatches are errors, not silent restarts.
-    pub fn load_or_new(path: &Path, fingerprint: u64) -> Result<Self, CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::load_or_new_from(&store, &key, fingerprint)
-    }
-
-    /// Backend-generic [`Self::load_or_new`].
     pub fn load_or_new_from(
         store: &Store,
         key: &str,
         fingerprint: u64,
     ) -> Result<Self, CheckpointError> {
-        Ok(
-            Self::read_impl(store, key, Path::new(key), Some(fingerprint))?
-                .unwrap_or_else(|| Self::new(fingerprint)),
-        )
+        Ok(Self::read(store, key, Some(fingerprint))?.unwrap_or_else(|| Self::new(fingerprint)))
     }
 }
 
@@ -423,7 +368,6 @@ impl SalvageReport {
 pub struct UnitJournal {
     store: Store,
     key: String,
-    display: PathBuf,
 }
 
 /// One replayed journal record: a completed unit, or a lease marking a
@@ -458,41 +402,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 impl UnitJournal {
-    /// Open (or create) the journal at `path` for appending.
-    pub fn open(path: &Path) -> Result<Self, CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::open_impl(store, key, path.to_path_buf())
-    }
-
-    /// Open (or create) the journal at `key` in `store` — the
-    /// backend-generic form of [`Self::open`].
+    /// Open (or create) the journal at `key` in `store` for appending:
+    /// the journal exists (empty) after open, existing records survive.
     pub fn open_in(store: &Store, key: &str) -> Result<Self, CheckpointError> {
-        Self::open_impl(store.clone(), key.to_string(), PathBuf::from(key))
-    }
-
-    fn open_impl(store: Store, key: String, display: PathBuf) -> Result<Self, CheckpointError> {
-        // Match the historical open(create | append) semantics: the
-        // journal exists (empty) after open, existing records survive.
-        if store
-            .len(&key)
-            .map_err(|e| store_io(&display, e))?
-            .is_none()
-        {
+        if store.len(key).map_err(|e| store_io(key, e))?.is_none() {
             store
-                .append_durable(&key, b"")
-                .map_err(|e| store_io(&display, e))?;
+                .append_durable(key, b"")
+                .map_err(|e| store_io(key, e))?;
         }
         Ok(UnitJournal {
-            store,
-            key,
-            display,
+            store: store.clone(),
+            key: key.to_string(),
         })
-    }
-
-    /// The journal's human-facing path (the storage key, for non-disk
-    /// backends).
-    pub fn path(&self) -> &Path {
-        &self.display
     }
 
     /// The journal's storage key, for store-level operations (e.g.
@@ -533,7 +454,7 @@ impl UnitJournal {
         // complete twin.
         self.store
             .append_durable(&self.key, rec.as_bytes())
-            .map_err(|e| store_io(&self.display, e))
+            .map_err(|e| store_io(&self.key, e))
     }
 
     /// Drop every record (after its units were compacted into a saved
@@ -541,23 +462,15 @@ impl UnitJournal {
     pub fn reset(&mut self) -> Result<(), CheckpointError> {
         self.store
             .truncate(&self.key, 0)
-            .map_err(|e| store_io(&self.display, e))
+            .map_err(|e| store_io(&self.key, e))
     }
 
-    /// Replay a journal file's *unit* records in write order (lease
-    /// records are skipped — they mark dispatch, not completion), plus
-    /// a [`SalvageReport`] describing any torn tail. A missing file
-    /// replays as empty. The only errors are real I/O failures and
-    /// records whose checksum verifies but whose payload does not
-    /// decode (a writer bug, not a torn write).
-    pub fn replay(
-        path: &Path,
-    ) -> Result<(Vec<(String, SimResult)>, SalvageReport), CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::replay_in(&store, &key)
-    }
-
-    /// Backend-generic [`Self::replay`].
+    /// Replay the journal at `key`'s *unit* records in write order
+    /// (lease records are skipped — they mark dispatch, not
+    /// completion), plus a [`SalvageReport`] describing any torn tail.
+    /// A missing journal replays as empty. The only errors are real I/O
+    /// failures and records whose checksum verifies but whose payload
+    /// does not decode (a writer bug, not a torn write).
     pub fn replay_in(
         store: &Store,
         key: &str,
@@ -577,20 +490,11 @@ impl UnitJournal {
     /// write order. The lease view is what a resumed coordinator and
     /// `doctor` use: a lease with no later unit record for the same key
     /// was in flight when the writer died.
-    pub fn replay_records(
-        path: &Path,
-    ) -> Result<(Vec<JournalRecord>, SalvageReport), CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::replay_records_in(&store, &key)
-    }
-
-    /// Backend-generic [`Self::replay_records`].
     pub fn replay_records_in(
         store: &Store,
         key: &str,
     ) -> Result<(Vec<JournalRecord>, SalvageReport), CheckpointError> {
-        let display = Path::new(key);
-        let bytes = match store.get(key).map_err(|e| store_io(display, e))? {
+        let bytes = match store.get(key).map_err(|e| store_io(key, e))? {
             Some(b) => b,
             None => {
                 return Ok((
@@ -606,7 +510,7 @@ impl UnitJournal {
         let mut records: Vec<JournalRecord> = Vec::new();
         let mut offset = 0usize;
         while let Some((payload, end)) = next_record(&bytes, offset) {
-            records.push(decode_record(payload, display, records.len() + 1)?);
+            records.push(decode_record(payload, key, records.len() + 1)?);
             offset = end;
         }
         let report = SalvageReport {
@@ -640,20 +544,14 @@ impl UnitJournal {
         open
     }
 
-    /// Truncate the file at `path` to its last valid record, making a
+    /// Truncate the journal at `key` to its last valid record, making a
     /// torn journal clean. Returns what was salvaged.
-    pub fn salvage(path: &Path) -> Result<SalvageReport, CheckpointError> {
-        let (store, key) = file_store(path)?;
-        Self::salvage_in(&store, &key)
-    }
-
-    /// Backend-generic [`Self::salvage`].
     pub fn salvage_in(store: &Store, key: &str) -> Result<SalvageReport, CheckpointError> {
         let (_, report) = Self::replay_in(store, key)?;
         if report.torn_bytes > 0 {
             store
                 .truncate(key, report.valid_bytes)
-                .map_err(|e| store_io(Path::new(key), e))?;
+                .map_err(|e| store_io(key, e))?;
         }
         Ok(report)
     }
@@ -688,15 +586,16 @@ fn next_record(bytes: &[u8], offset: usize) -> Option<(&[u8], usize)> {
     Some((payload, offset + body_start + len + 1))
 }
 
-/// Decode one record's payload into a [`JournalRecord`]. `record` is
-/// the 1-based record number, for error messages.
+/// Decode one record's payload into a [`JournalRecord`]. `journal` (the
+/// journal's key) and `record` (the 1-based record number) name it in
+/// error messages.
 fn decode_record(
     payload: &[u8],
-    path: &Path,
+    journal: &str,
     record: usize,
 ) -> Result<JournalRecord, CheckpointError> {
     let corrupt = |line: usize, message: String| CheckpointError::Corrupt {
-        path: path.to_path_buf(),
+        path: PathBuf::from(journal),
         line,
         message: format!("journal record {record}: {message}"),
     };
@@ -1232,6 +1131,15 @@ mod tests {
     use sbgp_asgraph::Weights;
     use sbgp_routing::HashTieBreak;
 
+    const JOURNAL: &str = "sweep.journal";
+
+    /// A fresh, empty local-disk store for one test.
+    fn disk(tag: &str) -> Store {
+        let dir = std::env::temp_dir().join(format!("sbgp_ckpt_{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        Store::localdisk(dir)
+    }
+
     fn sample_result(seed: u64, chaos: Option<ChaosPlan>) -> SimResult {
         let g = generate(&GenParams::new(120, seed)).graph;
         let w = Weights::with_cp_fraction(&g, 0.10);
@@ -1274,30 +1182,25 @@ mod tests {
 
     #[test]
     fn save_load_round_trip() {
-        let dir = std::env::temp_dir().join("sbgp_ckpt_roundtrip");
-        let path = dir.join("sweep.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let store = disk("roundtrip");
         let fp = params_fingerprint(&["ases=120", "seed=42"]);
         let mut ckpt = SweepCheckpoint::new(fp);
         ckpt.insert("theta=0.05", sample_result(42, None));
         ckpt.insert("theta=0.10", sample_result(43, None));
-        ckpt.save(&path).unwrap();
-        let back = SweepCheckpoint::load(&path, fp).unwrap();
+        ckpt.save_to(&store, "sweep.ckpt").unwrap();
+        let back = SweepCheckpoint::load_from(&store, "sweep.ckpt", fp).unwrap();
         assert_eq!(back, ckpt);
         assert!(back.get("theta=0.05").is_some());
         assert!(back.get("theta=0.20").is_none());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn params_mismatch_is_refused() {
-        let dir = std::env::temp_dir().join("sbgp_ckpt_mismatch");
-        let path = dir.join("sweep.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let store = disk("mismatch");
         let mut ckpt = SweepCheckpoint::new(1);
         ckpt.insert("unit", sample_result(42, None));
-        ckpt.save(&path).unwrap();
-        match SweepCheckpoint::load(&path, 2) {
+        ckpt.save_to(&store, "sweep.ckpt").unwrap();
+        match SweepCheckpoint::load_from(&store, "sweep.ckpt", 2) {
             Err(CheckpointError::ParamsMismatch {
                 expected, found, ..
             }) => {
@@ -1305,44 +1208,39 @@ mod tests {
             }
             other => panic!("expected ParamsMismatch, got {other:?}"),
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn corrupt_file_is_a_typed_error() {
-        let dir = std::env::temp_dir().join("sbgp_ckpt_corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.ckpt");
-        std::fs::write(&path, "sbgp-checkpoint v2\nfingerprint zzzz\n").unwrap();
+        let store = disk("corrupt");
+        store
+            .put_atomic("bad.ckpt", b"sbgp-checkpoint v2\nfingerprint zzzz\n")
+            .unwrap();
         assert!(matches!(
-            SweepCheckpoint::load(&path, 0),
+            SweepCheckpoint::load_from(&store, "bad.ckpt", 0),
             Err(CheckpointError::Corrupt { line: 2, .. })
         ));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn load_or_new_on_missing_file() {
-        let path = std::env::temp_dir().join("sbgp_ckpt_never_written.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let ckpt = SweepCheckpoint::load_or_new(&path, 9).unwrap();
+        let store = disk("never_written");
+        let ckpt = SweepCheckpoint::load_or_new_from(&store, "sweep.ckpt", 9).unwrap();
         assert!(ckpt.is_empty());
         assert_eq!(ckpt.fingerprint, 9);
     }
 
     #[test]
     fn journal_append_replay_round_trip() {
-        let dir = std::env::temp_dir().join("sbgp_journal_roundtrip");
-        let path = dir.join("sweep.journal");
-        let _ = std::fs::remove_file(&path);
+        let store = disk("journal_roundtrip");
         let r1 = sample_result(42, None);
         let r2 = sample_result(43, None);
         {
-            let mut j = UnitJournal::open(&path).unwrap();
+            let mut j = UnitJournal::open_in(&store, JOURNAL).unwrap();
             j.append("theta=0.05", &r1).unwrap();
             j.append("theta=0.10", &r2).unwrap();
         }
-        let (units, report) = UnitJournal::replay(&path).unwrap();
+        let (units, report) = UnitJournal::replay_in(&store, JOURNAL).unwrap();
         assert!(report.is_clean());
         assert_eq!(report.records, 2);
         assert_eq!(units.len(), 2);
@@ -1352,65 +1250,56 @@ mod tests {
         let mut want = r1.clone();
         want.stats = crate::engine::EngineStats::default();
         assert_eq!(units[0].1, want);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn journal_reset_empties_the_file() {
-        let dir = std::env::temp_dir().join("sbgp_journal_reset");
-        let path = dir.join("sweep.journal");
-        let _ = std::fs::remove_file(&path);
-        let mut j = UnitJournal::open(&path).unwrap();
+        let store = disk("journal_reset");
+        let mut j = UnitJournal::open_in(&store, JOURNAL).unwrap();
         j.append("a", &sample_result(42, None)).unwrap();
         j.reset().unwrap();
-        let (units, report) = UnitJournal::replay(&path).unwrap();
+        let (units, report) = UnitJournal::replay_in(&store, JOURNAL).unwrap();
         assert!(units.is_empty());
         assert!(report.is_clean());
         // Appends keep working after a reset.
         j.append("b", &sample_result(43, None)).unwrap();
-        let (units, _) = UnitJournal::replay(&path).unwrap();
+        let (units, _) = UnitJournal::replay_in(&store, JOURNAL).unwrap();
         assert_eq!(units.len(), 1);
         assert_eq!(units[0].0, "b");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn torn_journal_tail_is_salvaged_not_fatal() {
-        let dir = std::env::temp_dir().join("sbgp_journal_torn");
-        let path = dir.join("sweep.journal");
-        let _ = std::fs::remove_file(&path);
+        let store = disk("journal_torn");
         {
-            let mut j = UnitJournal::open(&path).unwrap();
+            let mut j = UnitJournal::open_in(&store, JOURNAL).unwrap();
             j.append("good", &sample_result(42, None)).unwrap();
             j.append("doomed", &sample_result(43, None)).unwrap();
         }
-        let full = std::fs::read(&path).unwrap();
-        let (_, clean) = UnitJournal::replay(&path).unwrap();
+        let full = store.get(JOURNAL).unwrap().unwrap();
+        let (_, clean) = UnitJournal::replay_in(&store, JOURNAL).unwrap();
         assert_eq!(clean.records, 2);
         assert_eq!(clean.valid_bytes as usize, full.len());
         // Tear the second record's tail off, as a kill mid-append would.
-        std::fs::write(&path, &full[..full.len() - 10]).unwrap();
-        let (units, torn) = UnitJournal::replay(&path).unwrap();
+        store.truncate(JOURNAL, full.len() as u64 - 10).unwrap();
+        let (units, torn) = UnitJournal::replay_in(&store, JOURNAL).unwrap();
         assert_eq!(units.len(), 1);
         assert_eq!(units[0].0, "good");
         assert_eq!(torn.records, 1);
         assert!(torn.torn_bytes > 0);
         // Salvage truncates to the valid prefix; replay is then clean.
-        let report = UnitJournal::salvage(&path).unwrap();
+        let report = UnitJournal::salvage_in(&store, JOURNAL).unwrap();
         assert_eq!(report.records, 1);
-        let (units, after) = UnitJournal::replay(&path).unwrap();
+        let (units, after) = UnitJournal::replay_in(&store, JOURNAL).unwrap();
         assert_eq!(units.len(), 1);
         assert!(after.is_clean());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn journal_leases_replay_and_discharge() {
-        let dir = std::env::temp_dir().join("sbgp_journal_leases");
-        let path = dir.join("sweep.journal");
-        let _ = std::fs::remove_file(&path);
+        let store = disk("journal_leases");
         {
-            let mut j = UnitJournal::open(&path).unwrap();
+            let mut j = UnitJournal::open_in(&store, JOURNAL).unwrap();
             j.append_lease("theta=0.05", "127.0.0.1:9001").unwrap();
             j.append_lease("theta=0.10", "process 4242").unwrap();
             j.append("theta=0.05", &sample_result(42, None)).unwrap();
@@ -1418,11 +1307,11 @@ mod tests {
             // updates the holder rather than duplicating the entry.
             j.append_lease("theta=0.10", "127.0.0.1:9002").unwrap();
         }
-        let (records, report) = UnitJournal::replay_records(&path).unwrap();
+        let (records, report) = UnitJournal::replay_records_in(&store, JOURNAL).unwrap();
         assert!(report.is_clean());
         assert_eq!(report.records, 4);
         // The unit-only view skips leases (back-compat for resume).
-        let (units, units_report) = UnitJournal::replay(&path).unwrap();
+        let (units, units_report) = UnitJournal::replay_in(&store, JOURNAL).unwrap();
         assert_eq!(units.len(), 1);
         assert_eq!(units[0].0, "theta=0.05");
         assert_eq!(units_report.records, 4);
@@ -1433,14 +1322,12 @@ mod tests {
             open,
             vec![("theta=0.10".to_string(), "127.0.0.1:9002".to_string())]
         );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn missing_journal_replays_empty() {
-        let path = std::env::temp_dir().join("sbgp_journal_never_written.journal");
-        let _ = std::fs::remove_file(&path);
-        let (units, report) = UnitJournal::replay(&path).unwrap();
+        let store = disk("journal_never_written");
+        let (units, report) = UnitJournal::replay_in(&store, JOURNAL).unwrap();
         assert!(units.is_empty());
         assert!(report.is_clean());
     }

@@ -574,8 +574,9 @@ fn member_secure<C: RouteContext + ?Sized>(ctx: &C, tree: &RouteTree, x: AsId) -
     ctx.tiebreak_set(x).iter().any(|&m| tree.secure[m as usize])
 }
 
-/// Render a `catch_unwind` payload for the quarantine report.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Render a `catch_unwind` payload as text: the quarantine report's
+/// message, and the serve daemon's record of a panicked job attempt.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

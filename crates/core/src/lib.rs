@@ -74,8 +74,8 @@ pub mod turnoff;
 pub use config::{Activation, ChaosPlan, DeltaMode, SimConfig, UtilityModel};
 pub use early::{greedy_select, EarlyAdopters};
 pub use engine::{
-    EnginePool, EngineStats, QuarantinedTask, RoundComputation, SelfCheckViolation, TaskFault,
-    UtilityEngine,
+    panic_message, EnginePool, EngineStats, QuarantinedTask, RoundComputation, SelfCheckViolation,
+    TaskFault, UtilityEngine,
 };
 pub use sim::{Outcome, RoundRecord, SimResult, Simulation};
 pub use state::initial_state;

@@ -17,6 +17,7 @@
 use sbgp_asgraph::gen::{generate, GenParams};
 use sbgp_asgraph::Weights;
 use sbgp_core::checkpoint::{SweepCheckpoint, UnitJournal};
+use sbgp_core::storage::Store;
 use sbgp_core::{EarlyAdopters, EngineStats, SimConfig, SimResult, Simulation};
 use sbgp_routing::HashTieBreak;
 use std::path::PathBuf;
@@ -59,13 +60,13 @@ fn sample_results() -> Vec<(String, SimResult)> {
 #[test]
 fn checkpoint_truncated_at_every_byte_never_panics() {
     let dir = tmp_dir("ckpt");
-    let full_path = dir.join("full.ckpt");
+    let store = Store::localdisk(&dir);
     let mut ckpt = SweepCheckpoint::new(7);
     for (key, res) in sample_results() {
         ckpt.insert(key, res);
     }
-    ckpt.save(&full_path).expect("save checkpoint");
-    let full = std::fs::read(&full_path).expect("read checkpoint");
+    ckpt.save_to(&store, "full.ckpt").expect("save checkpoint");
+    let full = std::fs::read(dir.join("full.ckpt")).expect("read checkpoint");
 
     let cut_path = dir.join("cut.ckpt");
     let mut loaded_ok = 0usize;
@@ -73,7 +74,7 @@ fn checkpoint_truncated_at_every_byte_never_panics() {
         std::fs::write(&cut_path, &full[..cut]).expect("write truncation");
         // Any outcome but a panic is acceptable; a successful parse
         // must also pass the fingerprint check.
-        match SweepCheckpoint::load(&cut_path, 7) {
+        match SweepCheckpoint::load_from(&store, "cut.ckpt", 7) {
             Ok(c) => {
                 loaded_ok += 1;
                 assert!(
@@ -95,14 +96,14 @@ fn checkpoint_truncated_at_every_byte_never_panics() {
 #[test]
 fn journal_truncated_at_every_byte_salvages_an_exact_prefix() {
     let dir = tmp_dir("journal");
-    let full_path = dir.join("full.journal");
+    let store = Store::localdisk(&dir);
     let units = sample_results();
-    let mut j = UnitJournal::open(&full_path).expect("open journal");
+    let mut j = UnitJournal::open_in(&store, "full.journal").expect("open journal");
     for (key, res) in &units {
         j.append(key, res).expect("append");
     }
     drop(j);
-    let full = std::fs::read(&full_path).expect("read journal");
+    let full = std::fs::read(dir.join("full.journal")).expect("read journal");
 
     // Record boundaries: replaying ever-longer prefixes of the intact
     // file tells us how many whole records fit in any cut length.
@@ -110,8 +111,8 @@ fn journal_truncated_at_every_byte_salvages_an_exact_prefix() {
     let mut boundary_cuts = 0usize;
     for cut in 0..=full.len() {
         std::fs::write(&cut_path, &full[..cut]).expect("write truncation");
-        let (salvaged, report) =
-            UnitJournal::replay(&cut_path).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+        let (salvaged, report) = UnitJournal::replay_in(&store, "cut.journal")
+            .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
         // The salvaged units must be an exact prefix of what was
         // appended — same keys, same results, same order.
         assert!(
@@ -133,9 +134,10 @@ fn journal_truncated_at_every_byte_salvages_an_exact_prefix() {
             boundary_cuts += 1;
         }
         // Salvaging then replaying must be clean and keep the prefix.
-        UnitJournal::salvage(&cut_path).unwrap_or_else(|e| panic!("salvage at {cut}: {e}"));
-        let (again, clean) =
-            UnitJournal::replay(&cut_path).unwrap_or_else(|e| panic!("re-replay at {cut}: {e}"));
+        UnitJournal::salvage_in(&store, "cut.journal")
+            .unwrap_or_else(|e| panic!("salvage at {cut}: {e}"));
+        let (again, clean) = UnitJournal::replay_in(&store, "cut.journal")
+            .unwrap_or_else(|e| panic!("re-replay at {cut}: {e}"));
         assert!(clean.is_clean(), "cut at {cut}: salvage left a torn tail");
         assert_eq!(
             again.len(),

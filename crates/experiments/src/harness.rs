@@ -1,9 +1,11 @@
 //! Checkpointed sweep execution.
 //!
-//! A [`SweepRunner`] wraps the unit loop of a θ-sweep (or any other
-//! multi-run figure): each unit is keyed by a label and, once finished,
-//! appended (fsync'd) to the write-ahead `<cmd>.journal` — that append
-//! *is* the durable write. The checkpoint `results/checkpoints/<cmd>.ckpt`
+//! A [`SweepRunner`] wraps the unit loop of a θ-sweep (every sweep
+//! figure opens one through [`crate::sweeps`]' grid loop): each unit is
+//! keyed by its grid label and, once finished — merged from a worker or
+//! computed in-process — appended (fsync'd) to the write-ahead
+//! `<cmd>.journal`; that append *is* the durable write. The checkpoint
+//! `results/checkpoints/<cmd>.ckpt`
 //! (atomic write-rename, see [`sbgp_core::checkpoint`]) is the
 //! journal's compaction: it is rewritten no more often than every
 //! `--checkpoint-every` units *and* only once the journal holds as many
@@ -12,14 +14,18 @@
 //! the end) instead of `n`. `--resume` loads the checkpoint, folds the
 //! journal in, and skips every unit either holds. Because every
 //! simulation is deterministic, a resumed sweep is bit-identical to an
-//! uninterrupted one — `tests/determinism.rs` pins this down.
+//! uninterrupted one — `tests/determinism.rs` pins this down. The
+//! checkpoint is fingerprinted by the world it was computed over
+//! ([`WorldKey`]) and the CP share, so a resume under options that
+//! build another world is refused instead of merging two topologies.
 //!
 //! Checkpointing is off by default (no files written); it turns on when
 //! the user passes `--resume` or `--checkpoint-every N`.
 
 use crate::cli::Options;
 use crate::error::ExperimentError;
-use sbgp_core::checkpoint::{params_fingerprint, SweepCheckpoint, UnitJournal};
+use crate::world::WorldKey;
+use sbgp_core::checkpoint::{SweepCheckpoint, UnitJournal};
 use sbgp_core::storage::{LockOutcome, Store};
 use sbgp_core::{EngineStats, SimResult};
 use std::path::{Path, PathBuf};
@@ -158,18 +164,19 @@ impl SweepRunner {
     /// Open the runner for the sweep named `name` (the subcommand).
     ///
     /// The checkpoint's fingerprint covers every option that changes
-    /// results (`--ases`, `--seed`, `--cp-fraction`, `--fail-links`)
-    /// plus `extra` sweep-specific parameters — never `--threads`,
-    /// which determinism tests guarantee is result-neutral. With
-    /// `--resume`, an existing file for the same fingerprint is loaded;
-    /// a file from different parameters is a hard error.
-    pub fn open(name: &str, opts: &Options, extra: &[String]) -> Result<Self, ExperimentError> {
+    /// results — the world ([`WorldKey`]: `--ases`, `--seed`,
+    /// `--fail-links`, a preset such as `--paper-scale`) and
+    /// `--cp-fraction` — never `--threads`, which determinism tests
+    /// guarantee is result-neutral. With `--resume`, an existing file
+    /// for the same fingerprint is loaded; a file from different
+    /// parameters is a hard error.
+    pub fn open(name: &str, opts: &Options) -> Result<Self, ExperimentError> {
         let base_dir = match &opts.out {
             Some(out) => out.clone(),
             None => PathBuf::from("results"),
         };
         let store = opts.storage_at(&base_dir);
-        Self::open_in(name, opts, extra, store, &base_dir)
+        Self::open_in(name, opts, store, &base_dir)
     }
 
     /// [`Self::open`] over a given store (`base_dir` only names it in
@@ -177,41 +184,30 @@ impl SweepRunner {
     fn open_in(
         name: &str,
         opts: &Options,
-        extra: &[String],
         store: Store,
         base_dir: &Path,
     ) -> Result<Self, ExperimentError> {
-        let mut parts = vec![
-            format!("cmd={name}"),
-            format!("ases={}", opts.ases),
-            format!("seed={}", opts.seed),
-            format!("cp={}", opts.cp_fraction),
-            format!("fail_links={}", opts.fail_links),
-        ];
-        parts.extend(extra.iter().cloned());
-        let fp = params_fingerprint(&parts);
-
-        let artifact_dir = base_dir.join("diffcheck");
+        let fp = WorldKey::of(opts).fingerprint(name, opts.cp_fraction);
         let ckpt_key = format!("checkpoints/{name}.ckpt");
-        let ckpt_display = base_dir.join(&ckpt_key);
+        let mut runner = SweepRunner {
+            name: name.to_string(),
+            store: store.clone(),
+            ckpt_key: None,
+            ckpt_display: base_dir.join(&ckpt_key),
+            artifact_dir: base_dir.join("diffcheck"),
+            ckpt: SweepCheckpoint::new(fp),
+            every: usize::MAX,
+            since_save: 0,
+            saved_len: 0,
+            reused: 0,
+            self_checked: 0,
+            violations: 0,
+            engine: EngineStats::default(),
+            journal: None,
+            lock: None,
+        };
         if !opts.resume && opts.checkpoint_every == 0 {
-            return Ok(SweepRunner {
-                name: name.to_string(),
-                store,
-                ckpt_key: None,
-                ckpt_display,
-                artifact_dir,
-                ckpt: SweepCheckpoint::new(fp),
-                every: usize::MAX,
-                since_save: 0,
-                saved_len: 0,
-                reused: 0,
-                self_checked: 0,
-                violations: 0,
-                engine: EngineStats::default(),
-                journal: None,
-                lock: None,
-            });
+            return Ok(runner);
         }
         let lock_key = format!("checkpoints/{name}.lock");
         take_lock(&store, &lock_key)?;
@@ -262,26 +258,16 @@ impl SweepRunner {
             println!(
                 "[resume] {} completed units loaded from {}",
                 ckpt.len(),
-                ckpt_display.display()
+                runner.ckpt_display.display()
             );
         }
-        Ok(SweepRunner {
-            name: name.to_string(),
-            store,
-            ckpt_key: Some(ckpt_key),
-            ckpt_display,
-            artifact_dir,
-            saved_len: ckpt.len(),
-            ckpt,
-            every: opts.checkpoint_every.max(1),
-            since_save: 0,
-            reused: 0,
-            self_checked: 0,
-            violations: 0,
-            engine: EngineStats::default(),
-            journal: Some(journal),
-            lock: Some(lock_key),
-        })
+        runner.ckpt_key = Some(ckpt_key);
+        runner.saved_len = ckpt.len();
+        runner.ckpt = ckpt;
+        runner.every = opts.checkpoint_every.max(1);
+        runner.journal = Some(journal);
+        runner.lock = Some(lock_key);
+        Ok(runner)
     }
 
     /// The checkpointed result for `key`, if it has already completed
@@ -508,6 +494,7 @@ mod tests {
     use crate::world::{THETAS, TIEBREAK};
     use sbgp_asgraph::gen::{generate, GenParams};
     use sbgp_asgraph::Weights;
+    use sbgp_core::checkpoint::CheckpointError;
     use sbgp_core::storage::{InMemory, StorageBackend, StorageError};
     use sbgp_core::{EarlyAdopters, SimConfig, Simulation};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -578,8 +565,7 @@ mod tests {
     /// Run all `units` through a runner over `store`; the CSV the sweep
     /// would emit, and how many units had to be computed.
     fn sweep(store: Store, opts: &Options, units: &[(String, SimResult)]) -> (String, usize) {
-        let mut runner =
-            SweepRunner::open_in("t", opts, &[], store, Path::new("mem")).expect("open");
+        let mut runner = SweepRunner::open_in("t", opts, store, Path::new("mem")).expect("open");
         let mut table = Table::new("t", &["unit", "rounds", "secure"]);
         let mut computed = 0;
         for (key, result) in units {
@@ -600,6 +586,37 @@ mod tests {
     }
 
     #[test]
+    fn resume_across_topology_presets_is_refused() {
+        // `--paper-scale` and `--n 36964` agree on `ases` but build
+        // different worlds: neither may resume the other's units.
+        let args =
+            |v: &[&str]| Options::parse(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let preset = args(&["--paper-scale", "--checkpoint-every", "1"]).unwrap();
+        let plain = args(&["--n", "36964", "--resume"]).unwrap();
+        assert_eq!(preset.ases, plain.ases);
+        let g = generate(&GenParams::new(120, 42)).graph;
+        let w = Weights::with_cp_fraction(&g, 0.10);
+        let result = Simulation::new(&g, &w, &TIEBREAK, SimConfig::default())
+            .run(&EarlyAdopters::ContentProviders.select(&g));
+
+        let store = Store::in_memory();
+        let mut runner =
+            SweepRunner::open_in("t", &preset, store.clone(), Path::new("mem")).unwrap();
+        runner.run("unit".into(), || result.clone()).unwrap();
+        runner.finish().unwrap();
+        let same = Options {
+            resume: true,
+            ..preset
+        };
+        assert!(SweepRunner::open_in("t", &same, crash_image(&store), Path::new("mem")).is_ok());
+        match SweepRunner::open_in("t", &plain, crash_image(&store), Path::new("mem")) {
+            Err(ExperimentError::Checkpoint(CheckpointError::ParamsMismatch { .. })) => {}
+            Err(e) => panic!("expected a params mismatch, got: {e}"),
+            Ok(_) => panic!("resumed a checkpoint written over another topology"),
+        }
+    }
+
+    #[test]
     fn compaction_is_logarithmic_and_every_prefix_resumes_byte_identically() {
         // A fig8-shaped sweep: 7 adopter sets x 7 thetas = 49 units.
         let g = generate(&GenParams::new(120, 42)).graph;
@@ -613,7 +630,7 @@ mod tests {
                     ..SimConfig::default()
                 };
                 let result = Simulation::new(&g, &w, &TIEBREAK, cfg).run(&adopters.select(&g));
-                units.push((crate::shards::theta_key(&adopters.label(), theta), result));
+                units.push((format!("{};theta={theta}", adopters.label()), result));
             }
         }
         assert_eq!(units.len(), 49);
@@ -640,8 +657,7 @@ mod tests {
 
         // Killed after each prefix of the run, resumed from what was left.
         let store = Store::in_memory();
-        let mut runner =
-            SweepRunner::open_in("t", &opts, &[], store.clone(), Path::new("mem")).unwrap();
+        let mut runner = SweepRunner::open_in("t", &opts, store.clone(), Path::new("mem")).unwrap();
         for done in 0..=units.len() {
             // The largest save point at or below `done`.
             let saved = if done == 0 { 0 } else { 1 << done.ilog2() };

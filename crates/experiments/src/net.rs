@@ -286,17 +286,12 @@ pub fn worker_cmd(args: &[String]) -> Result<(), ExperimentError> {
 /// coordinator died, chaos severed the socket, a torn frame) are logged
 /// and swallowed so the accept loop keeps the worker alive.
 fn serve_connection(stream: TcpStream, peer: &str) {
-    let scratch: std::cell::RefCell<Option<std::path::PathBuf>> = std::cell::RefCell::new(None);
     let halt = crate::signals::term_flag();
     let result = match stream.try_clone() {
         Ok(write_half) => supervise::serve_worker_until(
             stream,
             write_half,
-            |cmd, config| {
-                let (handler, n, dir) = crate::shards::worker_setup(cmd, config)?;
-                *scratch.borrow_mut() = dir;
-                Ok((handler, n))
-            },
+            crate::shards::worker_setup,
             Some(halt),
         ),
         Err(e) => Err(SuperviseError::Io {
@@ -304,9 +299,6 @@ fn serve_connection(stream: TcpStream, peer: &str) {
             message: e.to_string(),
         }),
     };
-    if let Some(dir) = scratch.borrow_mut().take() {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
     match result {
         Ok(()) => eprintln!("[worker] coordinator {peer} finished cleanly"),
         Err(e) => eprintln!("[worker] connection from {peer} ended: {e} — back to listening"),

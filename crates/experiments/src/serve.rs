@@ -19,7 +19,10 @@
 //! replayable `--config` artifact while other jobs keep flowing.
 
 use crate::cli::Options;
+use crate::commands::{Experiment, Run};
 use crate::error::ExperimentError;
+use crate::world::WorldKey;
+use sbgp_core::panic_message;
 use sbgp_core::serve::{Admission, JobBoard, JobSpec, Phase};
 use sbgp_core::storage::Store;
 use sbgp_routing::RoutingAtlas;
@@ -43,11 +46,10 @@ const DEFAULT_LISTEN: &str = "127.0.0.1:7411";
 // Atlas cache: hot frozen-context atlases shared across jobs
 // ---------------------------------------------------------------------
 
-/// Everything that determines a built atlas's contents: the world
-/// parameters that shaped the graph plus the graph's own dimensions
-/// (fig12 builds base *and* augmented atlases from one option set —
-/// node/edge counts tell them apart).
-type AtlasKey = (u64, usize, bool, u64, usize, usize);
+/// Everything that determines a built atlas's contents: the world plus
+/// the graph's own dimensions (fig12 builds base *and* augmented
+/// atlases from one option set — node/edge counts tell them apart).
+type AtlasKey = (WorldKey, usize, usize);
 
 struct AtlasCache {
     budget_bytes: usize,
@@ -68,14 +70,7 @@ impl AtlasCache {
 static ATLAS_CACHE: OnceLock<Mutex<AtlasCache>> = OnceLock::new();
 
 fn atlas_key(g: &sbgp_asgraph::AsGraph, opts: &Options) -> AtlasKey {
-    (
-        opts.seed,
-        opts.ases,
-        opts.paper_scale,
-        opts.fail_links.to_bits(),
-        g.len(),
-        g.num_edges(),
-    )
+    (WorldKey::of(opts), g.len(), g.num_edges())
 }
 
 /// Serve a routing atlas from the daemon's hot cache, building (and
@@ -131,39 +126,13 @@ fn atlas_cache_stats() -> (u64, u64, usize, usize) {
 // Job execution
 // ---------------------------------------------------------------------
 
-/// The entry point a served command dispatches to.
-type JobRunner = fn(&Options) -> Result<(), ExperimentError>;
-
-/// The commands the service runs, mapped to their entry points. The
-/// hidden `__poison` command panics deterministically — the chaos and
-/// integration suites use it to prove the quarantine path.
-pub(crate) fn job_runner(cmd: &str) -> Option<JobRunner> {
-    Some(match cmd {
-        "fig8" => crate::sweeps::fig8,
-        "fig9" => crate::sweeps::fig9,
-        "fig11" => crate::sweeps::fig11,
-        "fig12" => crate::sweeps::fig12,
-        "scenario" => crate::scenario::scenario,
-        "__poison" => poison_job,
-        _ => return None,
-    })
-}
-
-/// The canonical CSV each command materializes as its job result.
-pub(crate) fn result_csv_name(cmd: &str) -> Option<&'static str> {
-    Some(match cmd {
-        "fig8" => "fig8a_ases.csv",
-        "fig9" => "fig9_secure_paths.csv",
-        "fig11" => "fig11_stub_sensitivity.csv",
-        "fig12" => "fig12_cp_vs_tier1.csv",
-        "scenario" => "scenario_surface.csv",
-        "__poison" => "poison.csv",
-        _ => return None,
-    })
-}
-
-fn poison_job(_opts: &Options) -> Result<(), ExperimentError> {
-    panic!("__poison: deterministic panic for quarantine testing");
+/// The entry point and result CSV of a command the daemon runs.
+fn served(cmd: &str) -> Option<(Experiment, &'static str)> {
+    let c = crate::commands::find(cmd)?;
+    match (&c.run, c.served) {
+        (Run::Opts(run), Some(csv)) => Some((*run, csv)),
+        _ => None,
+    }
 }
 
 #[derive(Default)]
@@ -227,24 +196,26 @@ fn execute_spec(d: &Daemon, id: &str, spec: &JobSpec) -> Result<Vec<u8>, String>
     jopts.net_chaos = d.opts.net_chaos;
     jopts.remote_floor = d.opts.remote_floor;
     jopts.lease_secs = d.opts.lease_secs;
-    let run = job_runner(&spec.cmd).ok_or_else(|| format!("unsupported command {:?}", spec.cmd))?;
-    let csv = result_csv_name(&spec.cmd).expect("every runnable command names its CSV");
+    let (run, csv) =
+        served(&spec.cmd).ok_or_else(|| format!("unsupported command {:?}", spec.cmd))?;
     match catch_unwind(AssertUnwindSafe(|| run(&jopts))) {
         Ok(Ok(())) => std::fs::read(job_dir.join(csv))
             .map_err(|e| format!("job finished but {csv} is unreadable: {e}")),
         Ok(Err(e)) => Err(e.to_string()),
-        Err(panic) => Err(format!("attempt panicked: {}", panic_message(&panic))),
+        Err(panic) => Err(format!("attempt panicked: {}", panic_message(&*panic))),
     }
 }
 
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// The `400` body for a command the daemon does not run; it lists the
+/// visible served commands (`fig8|fig9|…`).
+fn unsupported_cmd(cmd: &str) -> String {
+    let served: Vec<&str> = crate::commands::COMMANDS
+        .iter()
+        .filter(|c| c.served.is_some() && !c.help.is_empty())
+        .map(|c| c.name)
+        .collect();
+    let (cmd, served) = (json_escape(cmd), served.join("|"));
+    format!("{{\"error\":\"unsupported cmd {cmd}; serve runs {served}\"}}")
 }
 
 fn first_line(s: &str) -> &str {
@@ -711,12 +682,8 @@ fn post_job(d: &Daemon, req: &Request, fallback_client: &str, stream: &mut TcpSt
         .unwrap_or(fallback_client);
     // Validate before admission: a spec that can never run must not
     // occupy a queue slot or burn a retry.
-    if job_runner(cmd).is_none() {
-        let body = format!(
-            "{{\"error\":\"unsupported cmd {}; serve runs fig8|fig9|fig11|fig12|scenario\"}}",
-            json_escape(cmd)
-        );
-        return respond_json(stream, 400, "Bad Request", &body);
+    if served(cmd).is_none() {
+        return respond_json(stream, 400, "Bad Request", &unsupported_cmd(cmd));
     }
     if let Err(e) = Options::from_config_str(&config) {
         let body = format!("{{\"error\":\"bad config: {}\"}}", json_escape(&e));
@@ -1107,13 +1074,17 @@ mod tests {
     }
 
     #[test]
-    fn runners_and_csvs_cover_the_same_commands() {
+    fn served_commands_and_the_unsupported_reply() {
         for cmd in ["fig8", "fig9", "fig11", "fig12", "scenario", "__poison"] {
-            assert!(job_runner(cmd).is_some(), "{cmd} must be runnable");
-            assert!(result_csv_name(cmd).is_some(), "{cmd} must name a CSV");
+            assert!(served(cmd).is_some(), "{cmd} must be served");
         }
-        assert!(job_runner("fig10").is_none());
-        assert!(result_csv_name("table1").is_none());
+        for cmd in ["fig10", "table1", "doctor", "__shard-worker", "bogus"] {
+            assert!(served(cmd).is_none(), "{cmd} must not be served");
+        }
+        assert_eq!(
+            unsupported_cmd("fig10"),
+            "{\"error\":\"unsupported cmd fig10; serve runs fig8|fig9|fig11|fig12|scenario\"}"
+        );
     }
 
     #[test]

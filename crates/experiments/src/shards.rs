@@ -1,17 +1,17 @@
-//! Process-sharded sweep execution (`--process-shards N`).
+//! Sharded sweep execution (`--process-shards N`, `--workers`).
 //!
-//! The sweep figures enumerate their unit grid here **once**, shared by
-//! three consumers that must agree exactly:
+//! A sweep's unit grid is declared once, in [`crate::sweeps`], and the
+//! command registry hands it to both sides of the dispatch here:
 //!
-//! 1. the in-process loops in [`crate::sweeps`] (via the `*_key`
-//!    helpers),
-//! 2. the supervisor's prefetch pass ([`prefetch`]), which dispatches
-//!    every not-yet-checkpointed unit to child worker processes, and
-//! 3. the hidden `__shard-worker` mode ([`worker_main`]), which
-//!    rebuilds the same registry from the job config and computes
-//!    whatever keys the supervisor assigns.
+//! 1. the supervisor's prefetch pass ([`prefetch`]), which dispatches
+//!    every not-yet-checkpointed unit to worker processes or remote
+//!    `repro worker`s, and
+//! 2. the workers ([`worker_setup`], behind the hidden `__shard-worker`
+//!    mode and `repro worker`), which rebuild the same grid from the job
+//!    config and compute whatever keys the supervisor assigns through
+//!    the same [`UnitRunner`] the in-process loop uses.
 //!
-//! Workers are re-execs of this binary speaking the
+//! Pipe workers are re-execs of this binary speaking the
 //! [`sbgp_core::supervise`] frame protocol on stdin/stdout (stderr
 //! passes through for human logs). Because each unit is a
 //! deterministic simulation and merged results land in the same
@@ -22,152 +22,15 @@
 use crate::cli::Options;
 use crate::error::ExperimentError;
 use crate::harness::SweepRunner;
-use crate::world::{weights, World, THETAS};
-use sbgp_asgraph::Weights;
+use crate::sweeps::{UnitRunner, UnitSpec};
+use crate::world::World;
 use sbgp_core::supervise::{self, ShardPolicy, SuperviseError};
-use sbgp_core::{EarlyAdopters, EngineStats, SimResult};
+use sbgp_core::{EngineStats, SimResult};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
 use std::time::Duration;
-
-// ---------------------------------------------------------------------
-// Unit keys — the single source of truth for checkpoint labels
-// ---------------------------------------------------------------------
-
-/// The standard sweep-cell key: `<adopters>;theta=<θ>`.
-pub fn theta_key(label: &str, theta: f64) -> String {
-    format!("{label};theta={theta}")
-}
-
-/// Figure 11's key: the standard key plus the stub tiebreak policy.
-pub fn stubs_key(label: &str, theta: f64, prefer: bool) -> String {
-    let policy = if prefer { "prefer" } else { "ignore" };
-    format!("{};stubs={policy}", theta_key(label, theta))
-}
-
-/// Figure 12's key: graph flavor and CP traffic share come first.
-pub fn fig12_key(glabel: &str, x: f64, label: &str, theta: f64) -> String {
-    format!("{glabel};x={x};{label};theta={theta}")
-}
-
-/// Which of the world's graphs a unit runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum GraphSel {
-    /// `World::base()` — the (possibly fault-degraded) base topology.
-    Base,
-    /// `World::augmented` — the CP-peering-augmented topology.
-    Augmented,
-}
-
-/// Everything needed to recompute one sweep cell from a [`World`].
-#[derive(Clone, Debug)]
-pub struct UnitSpec {
-    /// The graph the unit runs on.
-    pub graph: GraphSel,
-    /// CP traffic share override (figure 12); `None` uses
-    /// `--cp-fraction`.
-    pub cp_x: Option<f64>,
-    /// The early-adopter set.
-    pub adopters: EarlyAdopters,
-    /// Deployment threshold θ.
-    pub theta: f64,
-    /// Whether stubs break ties on security.
-    pub stubs_prefer_secure: bool,
-}
-
-/// Enumerate `cmd`'s sweep grid in the exact order the in-process
-/// loops visit it. `None` means the command has no sharded form.
-pub fn sweep_units(cmd: &str, world: &World) -> Option<Vec<(String, UnitSpec)>> {
-    let g = world.base();
-    let big = (g.isps().count() / 5).clamp(12, 200);
-    let mut units = Vec::new();
-    match cmd {
-        "fig8" => {
-            for adopters in crate::world::figure8_adopter_sets(g) {
-                for &theta in &THETAS {
-                    units.push((
-                        theta_key(&adopters.label(), theta),
-                        UnitSpec {
-                            graph: GraphSel::Base,
-                            cp_x: None,
-                            adopters: adopters.clone(),
-                            theta,
-                            stubs_prefer_secure: true,
-                        },
-                    ));
-                }
-            }
-        }
-        "fig9" => {
-            for adopters in [
-                EarlyAdopters::ContentProvidersPlusTopIsps(5),
-                EarlyAdopters::TopIspsByDegree(big),
-            ] {
-                for &theta in &THETAS {
-                    units.push((
-                        theta_key(&adopters.label(), theta),
-                        UnitSpec {
-                            graph: GraphSel::Base,
-                            cp_x: None,
-                            adopters: adopters.clone(),
-                            theta,
-                            stubs_prefer_secure: true,
-                        },
-                    ));
-                }
-            }
-        }
-        "fig11" => {
-            for adopters in [
-                EarlyAdopters::ContentProvidersPlusTopIsps(5),
-                EarlyAdopters::TopIspsByDegree(big),
-            ] {
-                for &theta in &THETAS {
-                    for prefer in [true, false] {
-                        units.push((
-                            stubs_key(&adopters.label(), theta, prefer),
-                            UnitSpec {
-                                graph: GraphSel::Base,
-                                cp_x: None,
-                                adopters: adopters.clone(),
-                                theta,
-                                stubs_prefer_secure: prefer,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        "fig12" => {
-            for (glabel, graph) in [("base", GraphSel::Base), ("augmented", GraphSel::Augmented)] {
-                for &x in &[0.10, 0.20, 0.33, 0.50] {
-                    for adopters in [
-                        EarlyAdopters::ContentProviders,
-                        EarlyAdopters::TopIspsByDegree(5),
-                    ] {
-                        for &theta in &[0.0, 0.05, 0.10, 0.30] {
-                            units.push((
-                                fig12_key(glabel, x, &adopters.label(), theta),
-                                UnitSpec {
-                                    graph,
-                                    cp_x: Some(x),
-                                    adopters: adopters.clone(),
-                                    theta,
-                                    stubs_prefer_secure: true,
-                                },
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        _ => return None,
-    }
-    Some(units)
-}
 
 // ---------------------------------------------------------------------
 // Supervisor side
@@ -208,23 +71,20 @@ pub(crate) fn spawn_worker(opts: &Options) -> std::io::Result<Child> {
     cmd.spawn()
 }
 
-/// Compute every unit of `cmd` that `runner`'s checkpoint does not
-/// already hold, using a fleet of `--process-shards` worker processes.
-/// No-op when sharding is off or nothing is missing; afterwards the
-/// in-process sweep loop finds every unit checkpointed and only
-/// formats output.
+/// Compute every one of `cmd`'s `units` that `runner`'s checkpoint does
+/// not already hold, using a fleet of `--process-shards` worker
+/// processes or `--workers` links. No-op when sharding is off or
+/// nothing is missing; afterwards the in-process sweep loop finds every
+/// unit checkpointed and only formats output.
 pub fn prefetch(
     cmd: &str,
     opts: &Options,
-    world: &World,
+    units: &[(String, UnitSpec)],
     runner: &mut SweepRunner,
 ) -> Result<(), ExperimentError> {
     if opts.process_shards == 0 && opts.workers.is_empty() {
         return Ok(());
     }
-    let Some(units) = sweep_units(cmd, world) else {
-        return Ok(());
-    };
     let missing: Vec<String> = units
         .iter()
         .map(|(k, _)| k.clone())
@@ -324,96 +184,69 @@ pub fn prefetch(
 // Worker side
 // ---------------------------------------------------------------------
 
-/// Build the unit handler a worker serves with, from the job's command
-/// and config text: the world, the unit registry, and per-graph lazy
-/// atlas/weight caches. Shared by the pipe worker (`__shard-worker`)
-/// and the TCP worker (`repro worker --listen`) — the computation is
-/// transport-blind by construction. Returns the handler, the registry
-/// size, and the scratch breadcrumb dir (if one was created) for the
-/// caller to clean up on graceful exit.
-pub(crate) type UnitOutcome = Result<(SimResult, EngineStats), String>;
-/// A ready worker: the unit handler, the registry size, and the
-/// scratch breadcrumb dir to remove on clean exit.
-pub(crate) type WorkerSetup<H> = Result<(H, usize, Option<PathBuf>), String>;
+/// A worker's scratch breadcrumb dir. Dropped with the unit handler
+/// when the worker finishes a job, which removes it; a SIGKILL leaves
+/// it behind for `repro doctor`.
+struct Scratch(PathBuf);
 
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// What a worker answers for one unit.
+type UnitOutcome = Result<(SimResult, EngineStats), String>;
+
+/// Build the unit handler a worker serves with, from the job's command
+/// and config text: the world, the command's grid, and a [`UnitRunner`].
+/// Shared by the pipe worker (`__shard-worker`) and the TCP worker
+/// (`repro worker --listen`) — the computation is transport-blind by
+/// construction. Returns the handler and the grid size.
 pub(crate) fn worker_setup(
     cmd: &str,
     config: &str,
-) -> WorkerSetup<impl FnMut(&str) -> UnitOutcome> {
+) -> Result<(impl FnMut(&str) -> UnitOutcome, usize), String> {
     let opts = Options::from_config_str(config).map_err(|e| format!("job config: {e}"))?;
+    let grid = crate::commands::find(cmd)
+        .and_then(|c| c.grid)
+        .ok_or_else(|| format!("command {cmd:?} has no sharded form"))?;
     let world = World::build(&opts).map_err(|e| format!("building world: {e}"))?;
-    let units =
-        sweep_units(cmd, &world).ok_or_else(|| format!("command {cmd:?} has no sharded form"))?;
-    let registry: HashMap<String, UnitSpec> = units.into_iter().collect();
-    let n = registry.len();
+    let units: HashMap<String, UnitSpec> = grid(&world).into_iter().collect();
+    let n = units.len();
 
-    // Scratch dir breadcrumb: removed by the caller on clean exit. A
-    // SIGKILL leaves it behind for `repro doctor`.
     let dir = shards_dir(&opts).join(format!("__shard-worker-{}", std::process::id()));
-    let scratch = if std::fs::create_dir_all(&dir).is_ok() {
+    let scratch = std::fs::create_dir_all(&dir).is_ok().then(|| {
         let _ = std::fs::write(
             dir.join("meta"),
             format!("pid {}\ncmd {cmd}\n", std::process::id()),
         );
-        Some(dir.clone())
-    } else {
-        None
-    };
+        Scratch(dir)
+    });
 
-    // Atlases are built lazily per graph and shared across every
-    // unit this worker computes on that graph.
-    let mut atlases: HashMap<GraphSel, Arc<sbgp_routing::RoutingAtlas>> = HashMap::new();
-    let mut weight_cache: HashMap<(GraphSel, u64), Weights> = HashMap::new();
+    let mut compute = UnitRunner::default();
     let handler = move |key: &str| {
-        let spec = registry
+        let spec = units
             .get(key)
             .ok_or_else(|| format!("unknown unit key {key:?}"))?;
         // Breadcrumb for doctor: which unit was in flight if this
         // worker is killed.
-        let _ = std::fs::write(dir.join("current"), key);
-        let g = match spec.graph {
-            GraphSel::Base => world.base(),
-            GraphSel::Augmented => &world.augmented,
-        };
-        let atlas = atlases
-            .entry(spec.graph)
-            .or_insert_with(|| crate::sweeps::build_atlas(g, &opts));
-        let w = weight_cache
-            .entry((spec.graph, spec.cp_x.map_or(u64::MAX, f64::to_bits)))
-            .or_insert_with(|| match spec.cp_x {
-                Some(x) => Weights::with_cp_fraction(g, x),
-                None => weights(g, &opts),
-            });
-        let result = crate::sweeps::run_once(
-            g,
-            w,
-            atlas,
-            &spec.adopters,
-            spec.theta,
-            spec.stubs_prefer_secure,
-            &opts,
-        );
+        if let Some(Scratch(dir)) = &scratch {
+            let _ = std::fs::write(dir.join("current"), key);
+        }
+        let result = compute.run(&world, spec, &opts);
         let stats = result.stats;
         Ok((result, stats))
     };
-    Ok((handler, n, scratch))
+    Ok((handler, n))
 }
 
 /// Entry point for the hidden `__shard-worker` mode. Never prints to
 /// stdout (that is the frame channel); returns the process exit code.
 pub fn worker_main() -> i32 {
-    let scratch: std::cell::RefCell<Option<PathBuf>> = std::cell::RefCell::new(None);
     // Unlocked handles: the heartbeat thread shares the writer, so it
     // must be Send (Stdout is; StdoutLock is not).
-    let result = supervise::serve_worker(std::io::stdin(), std::io::stdout(), |cmd, config| {
-        let (handler, n, dir) = worker_setup(cmd, config)?;
-        *scratch.borrow_mut() = dir;
-        Ok((handler, n))
-    });
-    if let Some(dir) = scratch.borrow_mut().take() {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    match result {
+    match supervise::serve_worker(std::io::stdin(), std::io::stdout(), worker_setup) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("shard worker: {e}");

@@ -2,7 +2,7 @@
 //! (`repro worker`, `repro serve`).
 //!
 //! The core crate forbids unsafe code, so the few libc calls (`signal`,
-//! `pipe`, `write`, `poll`) live here in the binary. glibc's `signal()`
+//! `pipe`, `fcntl`, `write`, `poll`) live here in the binary. glibc's `signal()`
 //! installs BSD semantics (`SA_RESTART`), which means a SIGTERM does
 //! *not* interrupt a blocking `accept`/`read`. Two ways to notice it:
 //!
@@ -53,6 +53,10 @@ mod ffi {
 
     pub const SIGTERM: c_int = 15;
     pub const POLLIN: c_short = 0x001;
+    #[cfg(test)]
+    pub const F_GETFD: c_int = 1;
+    pub const F_SETFD: c_int = 2;
+    pub const FD_CLOEXEC: c_int = 1;
 
     #[cfg(target_os = "linux")]
     pub type NfdsT = std::ffi::c_ulong;
@@ -62,6 +66,7 @@ mod ffi {
     extern "C" {
         pub fn signal(signum: c_int, handler: usize) -> usize;
         pub fn pipe(fds: *mut c_int) -> c_int;
+        pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
     }
@@ -95,6 +100,14 @@ pub fn install_term_handler() {
         let mut fds = [-1i32; 2];
         // SAFETY: `fds` is the two-int array `pipe(2)` fills in.
         if unsafe { ffi::pipe(fds.as_mut_ptr()) } == 0 {
+            // Close-on-exec: the `--process-shards` children a daemon
+            // spawns must not inherit the pipe.
+            for fd in fds {
+                // SAFETY: `fd` is an open descriptor `pipe(2)` returned.
+                unsafe {
+                    ffi::fcntl(fd, ffi::F_SETFD, ffi::FD_CLOEXEC);
+                }
+            }
             WAKE_READ.store(fds[0], Ordering::SeqCst);
             WAKE_WRITE.store(fds[1], Ordering::SeqCst);
         }
@@ -204,6 +217,23 @@ mod tests {
         // The latch may have flipped if the test *process* was
         // SIGTERMed, but under cargo test it starts clear.
         assert!(!term_requested());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn self_pipe_is_close_on_exec() {
+        let inner = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _listener = Listener::new(inner, "test").expect("listener");
+        for fd in [&WAKE_READ, &WAKE_WRITE].map(|fd| fd.load(Ordering::SeqCst)) {
+            assert!(fd >= 0, "the self-pipe was created");
+            // SAFETY: F_GETFD only reads the descriptor's flags.
+            let flags = unsafe { ffi::fcntl(fd, ffi::F_GETFD) };
+            assert_eq!(
+                flags & ffi::FD_CLOEXEC,
+                ffi::FD_CLOEXEC,
+                "fd {fd} leaks across exec"
+            );
+        }
     }
 
     #[test]

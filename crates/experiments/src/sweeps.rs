@@ -1,8 +1,17 @@
-//! The θ-sweep figures (8, 9, 11, 12), with checkpoint/resume.
+//! The θ-sweep figures (8, 9, 11, 12): each figure's unit grid,
+//! written once, and the one loop every execution path runs it through.
 //!
-//! Each sweep cell (one early-adopter set × one θ, plus any per-figure
-//! dimensions) is a checkpoint unit: with `--checkpoint-every N`,
-//! every finished cell is journaled, the journal is compacted into the
+//! A grid lists a figure's sweep cells (one early-adopter set × one θ,
+//! plus any per-figure dimensions) in output order, each under the
+//! checkpoint key that names it. The command registry
+//! ([`crate::commands`]) hands a command's grid to every consumer: the
+//! in-process loop here ([`sweep`]), the supervisor's dispatch pass and
+//! the pipe and TCP workers ([`crate::shards`]), and `repro serve`,
+//! which runs these same figure functions. Units compute through one
+//! [`UnitRunner`] wherever they run, so every path agrees on the work.
+//!
+//! Every unit is a checkpoint unit: with `--checkpoint-every N`, each
+//! finished cell is journaled, the journal is compacted into the
 //! checkpoint at most every `N` units, and `--resume` reloads both
 //! instead of recomputing — see [`crate::harness::SweepRunner`].
 
@@ -10,98 +19,248 @@ use crate::cli::Options;
 use crate::error::ExperimentError;
 use crate::harness::SweepRunner;
 use crate::output::{f3, heading, Table};
-use crate::world::{weights, World, THETAS, TIEBREAK};
+use crate::world::{case_study_config, figure8_adopter_sets, World, THETAS, TIEBREAK};
 use sbgp_asgraph::{AsGraph, Weights};
-use sbgp_core::{metrics, EarlyAdopters, SimConfig, SimResult, Simulation, UtilityModel};
+use sbgp_core::{metrics, EarlyAdopters, SimConfig, SimResult, Simulation};
 use sbgp_routing::{RoutingAtlas, TreePolicy};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One frozen-context atlas per graph, shared read-only by every
-/// simulation a figure runs over that graph — all θ values, adopter
-/// sets, sweep repetitions, and both stub tiebreak policies, since
-/// per-destination route contexts are state-independent (Observation
-/// C.1) and do not depend on [`TreePolicy`].
-///
-/// Under `repro serve` the daemon's hot atlas cache sits in front:
-/// repeat jobs over the same world reuse the built atlas instead of
-/// rebuilding it. One-shot CLI runs never install the cache, so their
-/// path is exactly the bare build.
-pub(crate) fn build_atlas(g: &AsGraph, opts: &Options) -> Arc<RoutingAtlas> {
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        opts.threads
-    };
-    crate::serve::cached_atlas(g, opts, || {
-        Arc::new(RoutingAtlas::build(
-            g,
-            &TIEBREAK,
-            opts.ctx_cache_mb.saturating_mul(1 << 20),
-            threads,
-        ))
-    })
+// ---------------------------------------------------------------------
+// Units and grids
+// ---------------------------------------------------------------------
+
+/// Which of the world's graphs a unit runs on.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum GraphSel {
+    /// `World::base()` — the (possibly fault-degraded) base topology.
+    Base,
+    /// `World::augmented` — the CP-peering-augmented topology.
+    Augmented,
 }
 
-pub(crate) fn run_once(
-    g: &AsGraph,
-    w: &Weights,
-    atlas: &Arc<RoutingAtlas>,
-    adopters: &EarlyAdopters,
-    theta: f64,
-    stubs_prefer_secure: bool,
-    opts: &Options,
-) -> SimResult {
-    let cfg = SimConfig {
-        theta,
-        model: UtilityModel::Outgoing,
-        tree_policy: TreePolicy {
-            stubs_prefer_secure,
-        },
-        max_rounds: 100,
-        threads: opts.threads,
-        max_task_retries: opts.max_retries,
-        self_check: opts.self_check,
-        task_deadline: opts.task_deadline(),
-        deadline: opts.deadline_at,
-        ctx_cache_mb: opts.ctx_cache_mb,
-        delta_projections: opts.delta_projections,
-        ..SimConfig::default()
-    };
-    let seeds = adopters.select(g);
-    Simulation::new(g, w, &TIEBREAK, cfg)
-        .with_shared_atlas(Arc::clone(atlas))
-        .run(&seeds)
+impl GraphSel {
+    /// The graph this selects in `world`.
+    pub fn of(self, world: &World) -> &AsGraph {
+        match self {
+            GraphSel::Base => world.base(),
+            GraphSel::Augmented => &world.augmented,
+        }
+    }
+
+    /// The label figure 12 prints (and keys its units by).
+    pub fn label(self) -> &'static str {
+        match self {
+            GraphSel::Base => "base",
+            GraphSel::Augmented => "augmented",
+        }
+    }
 }
+
+/// Everything needed to recompute one sweep cell from a [`World`].
+#[derive(Clone, Debug)]
+pub struct UnitSpec {
+    /// The graph the unit runs on.
+    pub graph: GraphSel,
+    /// CP traffic share override (figure 12); `None` uses
+    /// `--cp-fraction`.
+    pub cp_x: Option<f64>,
+    /// The early-adopter set.
+    pub adopters: EarlyAdopters,
+    /// Deployment threshold θ.
+    pub theta: f64,
+    /// Whether stubs break ties on security.
+    pub stubs_prefer_secure: bool,
+}
+
+/// A figure's sweep grid: every unit with its checkpoint key, in the
+/// order the figure's rows are built.
+pub type Grid = fn(&World) -> Vec<(String, UnitSpec)>;
+
+/// Every adopter set × every θ × every stub policy on the base graph,
+/// keyed `<adopters>;theta=<θ><policy key suffix>`.
+fn theta_grid(adopter_sets: Vec<EarlyAdopters>, stubs: &[(bool, &str)]) -> Vec<(String, UnitSpec)> {
+    let mut units = Vec::new();
+    for adopters in &adopter_sets {
+        for &theta in &THETAS {
+            for &(stubs_prefer_secure, suffix) in stubs {
+                let key = format!("{};theta={theta}{suffix}", adopters.label());
+                let spec = UnitSpec {
+                    graph: GraphSel::Base,
+                    cp_x: None,
+                    adopters: adopters.clone(),
+                    theta,
+                    stubs_prefer_secure,
+                };
+                units.push((key, spec));
+            }
+        }
+    }
+    units
+}
+
+/// Stubs break ties on security, as in the paper's main runs.
+const STUBS_PREFER: &[(bool, &str)] = &[(true, "")];
+
+/// The adopter sets figures 9 and 11 compare: the case study's, and a
+/// large top-ISP set.
+fn fig9_adopter_sets(g: &AsGraph) -> Vec<EarlyAdopters> {
+    let big = (g.isps().count() / 5).clamp(12, 200);
+    vec![
+        EarlyAdopters::ContentProvidersPlusTopIsps(5),
+        EarlyAdopters::TopIspsByDegree(big),
+    ]
+}
+
+/// Figure 8's grid: the Figure 8 adopter family × θ.
+pub fn fig8_grid(world: &World) -> Vec<(String, UnitSpec)> {
+    theta_grid(figure8_adopter_sets(world.base()), STUBS_PREFER)
+}
+
+/// Figure 9's grid: two adopter sets × θ.
+pub fn fig9_grid(world: &World) -> Vec<(String, UnitSpec)> {
+    theta_grid(fig9_adopter_sets(world.base()), STUBS_PREFER)
+}
+
+/// Figure 11's grid: figure 9's, with stubs preferring and then
+/// ignoring security in each cell.
+pub fn fig11_grid(world: &World) -> Vec<(String, UnitSpec)> {
+    let stubs = [(true, ";stubs=prefer"), (false, ";stubs=ignore")];
+    theta_grid(fig9_adopter_sets(world.base()), &stubs)
+}
+
+/// Figure 12's grid: graph × CP traffic share × {CPs, top-5 ISPs} × θ,
+/// graph-major (so one atlas is resident at a time).
+pub fn fig12_grid(_world: &World) -> Vec<(String, UnitSpec)> {
+    let mut units = Vec::new();
+    for graph in [GraphSel::Base, GraphSel::Augmented] {
+        for &x in &[0.10, 0.20, 0.33, 0.50] {
+            for adopters in [
+                EarlyAdopters::ContentProviders,
+                EarlyAdopters::TopIspsByDegree(5),
+            ] {
+                for &theta in &[0.0, 0.05, 0.10, 0.30] {
+                    let key = format!("{};x={x};{};theta={theta}", graph.label(), adopters.label());
+                    let spec = UnitSpec {
+                        graph,
+                        cp_x: Some(x),
+                        adopters: adopters.clone(),
+                        theta,
+                        stubs_prefer_secure: true,
+                    };
+                    units.push((key, spec));
+                }
+            }
+        }
+    }
+    units
+}
+
+// ---------------------------------------------------------------------
+// Computing units
+// ---------------------------------------------------------------------
+
+/// Computes sweep units over one world, in-process or inside a worker.
+///
+/// A graph's frozen-context atlas is shared read-only by every unit on
+/// that graph — all θ values, adopter sets and both stub tiebreak
+/// policies, since per-destination route contexts are state-independent
+/// (Observation C.1) and do not depend on [`TreePolicy`]. It is built on
+/// the graph's first unit and kept while units stay on that graph: one
+/// atlas resident at a time, and none for a graph whose units all came
+/// back from a checkpoint or a worker. Under `repro serve` the daemon's
+/// hot atlas cache sits in front of the build; one-shot runs never
+/// install it. Weights are cached per `(graph, CP share)`.
+#[derive(Default)]
+pub struct UnitRunner {
+    atlas: Option<(GraphSel, Arc<RoutingAtlas>)>,
+    weights: HashMap<(GraphSel, u64), Weights>,
+}
+
+impl UnitRunner {
+    /// Simulate `spec` over `world`.
+    pub fn run(&mut self, world: &World, spec: &UnitSpec, opts: &Options) -> SimResult {
+        let g = spec.graph.of(world);
+        if self.atlas.as_ref().map(|(graph, _)| *graph) != Some(spec.graph) {
+            // Release the other graph's atlas before building this one.
+            self.atlas = None;
+            let budget = opts.ctx_cache_mb.saturating_mul(1 << 20);
+            let atlas = crate::serve::cached_atlas(g, opts, || {
+                Arc::new(RoutingAtlas::build(g, &TIEBREAK, budget, opts.threads))
+            });
+            self.atlas = Some((spec.graph, atlas));
+        }
+        let (_, atlas) = self.atlas.as_ref().expect("built above");
+        let cp = spec.cp_x.unwrap_or(opts.cp_fraction);
+        let w = self
+            .weights
+            .entry((spec.graph, cp.to_bits()))
+            .or_insert_with(|| Weights::with_cp_fraction(g, cp));
+        let cfg = SimConfig {
+            theta: spec.theta,
+            tree_policy: TreePolicy {
+                stubs_prefer_secure: spec.stubs_prefer_secure,
+            },
+            ..case_study_config(opts)
+        };
+        let seeds = spec.adopters.select(g);
+        Simulation::new(g, w, &TIEBREAK, cfg)
+            .with_shared_atlas(Arc::clone(atlas))
+            .run(&seeds)
+    }
+}
+
+/// Run `cmd`'s grid: open its checkpoint, hand every unit it lacks to
+/// the worker fleet (if any), compute whatever is still missing here,
+/// and pass each unit's result to `row` in grid order. No result
+/// outlives its call to `row`.
+fn sweep(
+    cmd: &str,
+    opts: &Options,
+    mut row: impl FnMut(&World, &UnitSpec, &SimResult),
+) -> Result<(), ExperimentError> {
+    let grid = crate::commands::find(cmd)
+        .and_then(|c| c.grid)
+        .expect("sweep figures declare a grid");
+    let world = World::build(opts)?;
+    let units = grid(&world);
+    let mut runner = SweepRunner::open(cmd, opts)?;
+    crate::shards::prefetch(cmd, opts, &units, &mut runner)?;
+    let mut compute = UnitRunner::default();
+    for (key, spec) in &units {
+        let res = runner.run(key.clone(), || compute.run(&world, spec, opts))?;
+        row(&world, spec, &res);
+    }
+    runner.finish()
+}
+
+// ---------------------------------------------------------------------
+// The figures
+// ---------------------------------------------------------------------
 
 /// Figure 8: fraction of ASes (a) and ISPs (b) that end up secure, for
 /// each θ and each early-adopter set.
 pub fn fig8(opts: &Options) -> Result<(), ExperimentError> {
     heading("Figure 8: secure fraction vs theta per early-adopter set");
-    let world = World::build(opts)?;
-    let g = world.base();
-    let w = weights(g, opts);
-    let atlas = build_atlas(g, opts);
-    let mut runner = SweepRunner::open("fig8", opts, &[])?;
-    crate::shards::prefetch("fig8", opts, &world, &mut runner)?;
-    let mut ta = Table::new("fig8a_ases", &columns());
-    let mut tb = Table::new("fig8b_isps", &columns());
-    for adopters in crate::world::figure8_adopter_sets(g) {
-        let mut row_a = vec![adopters.label()];
-        let mut row_b = vec![adopters.label()];
-        for &theta in &THETAS {
-            let key = crate::shards::theta_key(&adopters.label(), theta);
-            let res = runner.run(key, || {
-                run_once(g, &w, &atlas, &adopters, theta, true, opts)
-            })?;
-            row_a.push(f3(res.secure_as_fraction(g)));
-            row_b.push(f3(res.secure_isp_fraction(g)));
+    let mut columns = vec!["early adopters"];
+    columns.extend(["theta=0", "0.05", "0.10", "0.20", "0.30", "0.40", "0.50"]);
+    let mut ta = Table::new("fig8a_ases", &columns);
+    let mut tb = Table::new("fig8b_isps", &columns);
+    let (mut row_a, mut row_b) = (Vec::new(), Vec::new());
+    sweep("fig8", opts, |world, unit, res| {
+        let g = world.base();
+        if row_a.is_empty() {
+            row_a.push(unit.adopters.label());
+            row_b.push(unit.adopters.label());
         }
-        ta.row(row_a);
-        tb.row(row_b);
-    }
-    runner.finish()?;
+        row_a.push(f3(res.secure_as_fraction(g)));
+        row_b.push(f3(res.secure_isp_fraction(g)));
+        // One row per adopter set, one column per θ.
+        if row_a.len() == columns.len() {
+            ta.row(std::mem::take(&mut row_a));
+            tb.row(std::mem::take(&mut row_b));
+        }
+    })?;
     println!("(a) fraction of ASes secure");
     ta.emit(opts)?;
     println!("(b) fraction of ISPs secure");
@@ -109,22 +268,10 @@ pub fn fig8(opts: &Options) -> Result<(), ExperimentError> {
     Ok(())
 }
 
-fn columns() -> Vec<&'static str> {
-    let mut c = vec!["early adopters"];
-    c.extend(["theta=0", "0.05", "0.10", "0.20", "0.30", "0.40", "0.50"]);
-    c
-}
-
 /// Figure 9: fraction of all (src, dst) paths fully secure at
 /// termination, vs θ; the paper observes it lands just under f².
 pub fn fig9(opts: &Options) -> Result<(), ExperimentError> {
     heading("Figure 9: secure-path fraction vs theta (and f^2 check)");
-    let world = World::build(opts)?;
-    let g = world.base();
-    let w = weights(g, opts);
-    let atlas = build_atlas(g, opts);
-    let mut runner = SweepRunner::open("fig9", opts, &[])?;
-    crate::shards::prefetch("fig9", opts, &world, &mut runner)?;
     let mut t = Table::new(
         "fig9_secure_paths",
         &[
@@ -135,37 +282,26 @@ pub fn fig9(opts: &Options) -> Result<(), ExperimentError> {
             "f^2",
         ],
     );
-    let big = (g.isps().count() / 5).clamp(12, 200);
-    for adopters in [
-        EarlyAdopters::ContentProvidersPlusTopIsps(5),
-        EarlyAdopters::TopIspsByDegree(big),
-    ] {
-        for &theta in &THETAS {
-            let key = crate::shards::theta_key(&adopters.label(), theta);
-            let res = runner.run(key, || {
-                run_once(g, &w, &atlas, &adopters, theta, true, opts)
-            })?;
-            let f = res.secure_as_fraction(g);
-            let frac = metrics::secure_path_fraction(
-                g,
-                &res.final_state,
-                TreePolicy {
-                    stubs_prefer_secure: true,
-                },
-                &TIEBREAK,
-            );
-            t.row(vec![
-                adopters.label(),
-                format!("{theta}"),
-                f3(f),
-                f3(frac),
-                f3(f * f),
-            ]);
-        }
-    }
-    runner.finish()?;
-    t.emit(opts)?;
-    Ok(())
+    sweep("fig9", opts, |world, unit, res| {
+        let g = world.base();
+        let f = res.secure_as_fraction(g);
+        let frac = metrics::secure_path_fraction(
+            g,
+            &res.final_state,
+            TreePolicy {
+                stubs_prefer_secure: true,
+            },
+            &TIEBREAK,
+        );
+        t.row(vec![
+            unit.adopters.label(),
+            format!("{}", unit.theta),
+            f3(f),
+            f3(frac),
+            f3(f * f),
+        ]);
+    })?;
+    t.emit(opts)
 }
 
 /// Figure 11: the stub-tiebreak sensitivity — rerun the Figure 8
@@ -173,12 +309,6 @@ pub fn fig9(opts: &Options) -> Result<(), ExperimentError> {
 /// θ > 0 (Section 6.7).
 pub fn fig11(opts: &Options) -> Result<(), ExperimentError> {
     heading("Figure 11: sensitivity to stubs breaking ties on security");
-    let world = World::build(opts)?;
-    let g = world.base();
-    let w = weights(g, opts);
-    let atlas = build_atlas(g, opts);
-    let mut runner = SweepRunner::open("fig11", opts, &[])?;
-    crate::shards::prefetch("fig11", opts, &world, &mut runner)?;
     let mut t = Table::new(
         "fig11_stub_sensitivity",
         &[
@@ -189,34 +319,24 @@ pub fn fig11(opts: &Options) -> Result<(), ExperimentError> {
             "delta",
         ],
     );
-    let big = (g.isps().count() / 5).clamp(12, 200);
-    for adopters in [
-        EarlyAdopters::ContentProvidersPlusTopIsps(5),
-        EarlyAdopters::TopIspsByDegree(big),
-    ] {
-        for &theta in &THETAS {
-            let with = runner.run(
-                crate::shards::stubs_key(&adopters.label(), theta, true),
-                || run_once(g, &w, &atlas, &adopters, theta, true, opts),
-            )?;
-            let without = runner.run(
-                crate::shards::stubs_key(&adopters.label(), theta, false),
-                || run_once(g, &w, &atlas, &adopters, theta, false, opts),
-            )?;
-            let a = with.secure_as_fraction(g);
-            let b = without.secure_as_fraction(g);
-            t.row(vec![
-                adopters.label(),
-                format!("{theta}"),
-                f3(a),
-                f3(b),
-                f3(a - b),
-            ]);
+    // Each cell's "prefer" unit comes right before its "ignore" twin.
+    let mut prefer = None;
+    sweep("fig11", opts, |world, unit, res| {
+        let f = res.secure_as_fraction(world.base());
+        if unit.stubs_prefer_secure {
+            prefer = Some(f);
+            return;
         }
-    }
-    runner.finish()?;
-    t.emit(opts)?;
-    Ok(())
+        let a = prefer.take().expect("the grid pairs prefer before ignore");
+        t.row(vec![
+            unit.adopters.label(),
+            format!("{}", unit.theta),
+            f3(a),
+            f3(f),
+            f3(a - f),
+        ]);
+    })?;
+    t.emit(opts)
 }
 
 /// Figure 12: five CPs vs top five Tier-1s as early adopters, across
@@ -224,38 +344,18 @@ pub fn fig11(opts: &Options) -> Result<(), ExperimentError> {
 /// augmented graph.
 pub fn fig12(opts: &Options) -> Result<(), ExperimentError> {
     heading("Figure 12: CPs vs Tier-1s as early adopters");
-    let world = World::build(opts)?;
-    let mut runner = SweepRunner::open("fig12", opts, &[])?;
-    crate::shards::prefetch("fig12", opts, &world, &mut runner)?;
     let mut t = Table::new(
         "fig12_cp_vs_tier1",
         &["graph", "x", "early adopters", "theta", "secure ASes"],
     );
-    for (glabel, g) in [("base", world.base()), ("augmented", &world.augmented)] {
-        let atlas = build_atlas(g, opts);
-        for &x in &[0.10, 0.20, 0.33, 0.50] {
-            let w = Weights::with_cp_fraction(g, x);
-            for adopters in [
-                EarlyAdopters::ContentProviders,
-                EarlyAdopters::TopIspsByDegree(5),
-            ] {
-                for &theta in &[0.0, 0.05, 0.10, 0.30] {
-                    let key = crate::shards::fig12_key(glabel, x, &adopters.label(), theta);
-                    let res = runner.run(key, || {
-                        run_once(g, &w, &atlas, &adopters, theta, true, opts)
-                    })?;
-                    t.row(vec![
-                        glabel.to_string(),
-                        format!("{x}"),
-                        adopters.label(),
-                        format!("{theta}"),
-                        f3(res.secure_as_fraction(g)),
-                    ]);
-                }
-            }
-        }
-    }
-    runner.finish()?;
-    t.emit(opts)?;
-    Ok(())
+    sweep("fig12", opts, |world, unit, res| {
+        t.row(vec![
+            unit.graph.label().to_string(),
+            format!("{}", unit.cp_x.expect("figure 12 units set the CP share")),
+            unit.adopters.label(),
+            format!("{}", unit.theta),
+            f3(res.secure_as_fraction(unit.graph.of(world))),
+        ]);
+    })?;
+    t.emit(opts)
 }

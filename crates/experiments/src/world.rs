@@ -6,6 +6,7 @@ use sbgp_asgraph::augment::augment_cp_peering;
 use sbgp_asgraph::fault::{apply_faults, FaultPlan, FaultReport};
 use sbgp_asgraph::gen::{generate_checked, GenParams, Generated};
 use sbgp_asgraph::{AsGraph, Weights};
+use sbgp_core::checkpoint::params_fingerprint;
 use sbgp_core::{EarlyAdopters, SimConfig, UtilityModel};
 use sbgp_routing::{HashTieBreak, TreePolicy};
 
@@ -27,12 +28,7 @@ impl World {
     /// topology. Errors (bad generator parameters, invalid fault
     /// rates) propagate instead of panicking.
     pub fn build(opts: &Options) -> Result<World, ExperimentError> {
-        let params = if opts.paper_scale {
-            GenParams::paper_scale(opts.seed)
-        } else {
-            GenParams::new(opts.ases, opts.seed)
-        };
-        let mut gen = generate_checked(&params)?;
+        let mut gen = generate_checked(&gen_params(opts))?;
         let mut fault_report = None;
         if opts.fail_links > 0.0 {
             let plan = FaultPlan::links(opts.fail_links, opts.seed ^ 0x0fa1_17ed);
@@ -57,6 +53,58 @@ impl World {
     /// The base graph.
     pub fn base(&self) -> &AsGraph {
         &self.gen.graph
+    }
+}
+
+/// The generator parameters the options select: the paper-scale
+/// preset, or the paper-shaped defaults at `--ases`.
+fn gen_params(opts: &Options) -> GenParams {
+    if opts.paper_scale {
+        GenParams::paper_scale(opts.seed)
+    } else {
+        GenParams::new(opts.ases, opts.seed)
+    }
+}
+
+/// Everything that shapes a [`World`]: option sets with equal keys
+/// build identical graphs. Sweep checkpoints are fingerprinted by it
+/// and `repro serve` caches atlases under it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct WorldKey {
+    ases: usize,
+    seed: u64,
+    fail_links: f64,
+    /// The generator parameters, when a preset chose other than the
+    /// defaults for `ases` and `seed` (`--paper-scale` vs `--n 36964`).
+    preset: Option<String>,
+}
+
+impl WorldKey {
+    /// The key of the world `opts` builds.
+    pub fn of(opts: &Options) -> WorldKey {
+        let params = format!("{:?}", gen_params(opts));
+        let defaults = format!("{:?}", GenParams::new(opts.ases, opts.seed));
+        WorldKey {
+            ases: opts.ases,
+            seed: opts.seed,
+            fail_links: opts.fail_links,
+            preset: (params != defaults).then_some(params),
+        }
+    }
+
+    /// The checkpoint fingerprint of sweep `cmd` over this world at CP
+    /// traffic share `cp`. Runs without a preset keep the fingerprint
+    /// they always had.
+    pub fn fingerprint(&self, cmd: &str, cp: f64) -> u64 {
+        let mut parts = vec![
+            format!("cmd={cmd}"),
+            format!("ases={}", self.ases),
+            format!("seed={}", self.seed),
+            format!("cp={cp}"),
+            format!("fail_links={}", self.fail_links),
+        ];
+        parts.extend(self.preset.iter().map(|p| format!("gen={p}")));
+        params_fingerprint(&parts)
     }
 }
 

@@ -7,6 +7,7 @@
 use sbgp_asgraph::gen::{generate, GenParams};
 use sbgp_asgraph::Weights;
 use sbgp_core::checkpoint::{params_fingerprint, SweepCheckpoint};
+use sbgp_core::storage::Store;
 use sbgp_core::{EarlyAdopters, SimConfig, SimResult, Simulation};
 use sbgp_routing::HashTieBreak;
 
@@ -72,17 +73,17 @@ fn checkpoint_round_trip_is_bit_identical() {
     // f64 bit patterns (the codec stores raw IEEE-754 bits, so no
     // decimal round-trip error can creep in).
     let dir = std::env::temp_dir().join("sbgp_determinism_ckpt");
-    let path = dir.join("roundtrip.ckpt");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Store::localdisk(&dir);
     let fp = params_fingerprint(&["ases=200", "seed=42", "cp=0.10"]);
 
     let mut ckpt = SweepCheckpoint::new(fp);
     for theta in [0.0, 0.05, 0.10] {
         ckpt.insert(format!("theta={theta}"), sweep_unit(theta));
     }
-    ckpt.save(&path).unwrap();
+    ckpt.save_to(&store, "roundtrip.ckpt").unwrap();
 
-    let restored = SweepCheckpoint::load(&path, fp).unwrap();
+    let restored = SweepCheckpoint::load_from(&store, "roundtrip.ckpt", fp).unwrap();
     for theta in [0.0, 0.05, 0.10] {
         let original = sweep_unit(theta);
         let stored = restored.get(&format!("theta={theta}")).unwrap();
@@ -96,7 +97,7 @@ fn checkpoint_round_trip_is_bit_identical() {
         }
         assert_eq!(original.final_state, stored.final_state);
     }
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -106,8 +107,8 @@ fn interrupted_sweep_resumes_to_identical_results() {
     // them verbatim, and computes the rest. The combined results must
     // equal an uninterrupted sweep's, unit for unit.
     let dir = std::env::temp_dir().join("sbgp_determinism_resume");
-    let path = dir.join("sweep.ckpt");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Store::localdisk(&dir);
     let fp = params_fingerprint(&["ases=200", "seed=42", "cp=0.10"]);
     let thetas = [0.0, 0.05, 0.10, 0.20];
 
@@ -116,10 +117,10 @@ fn interrupted_sweep_resumes_to_identical_results() {
     for &theta in &thetas[..2] {
         first.insert(format!("theta={theta}"), sweep_unit(theta));
     }
-    first.save(&path).unwrap();
+    first.save_to(&store, "sweep.ckpt").unwrap();
 
     // Resumed run: finish the sweep from the checkpoint.
-    let mut resumed = SweepCheckpoint::load(&path, fp).unwrap();
+    let mut resumed = SweepCheckpoint::load_from(&store, "sweep.ckpt", fp).unwrap();
     assert_eq!(resumed.len(), 2, "two units survive the interruption");
     let finished: Vec<SimResult> = thetas
         .iter()
@@ -140,5 +141,5 @@ fn interrupted_sweep_resumes_to_identical_results() {
     for (theta, from_resume) in thetas.iter().zip(finished.iter()) {
         assert_eq!(*from_resume, sweep_unit(*theta));
     }
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }

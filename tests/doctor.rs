@@ -99,6 +99,7 @@ fn torn_journal(dir: &std::path::Path) -> PathBuf {
     use sbgp_asgraph::gen::{generate, GenParams};
     use sbgp_asgraph::Weights;
     use sbgp_core::checkpoint::UnitJournal;
+    use sbgp_core::storage::Store;
     use sbgp_core::{EarlyAdopters, SimConfig, Simulation};
     use sbgp_routing::HashTieBreak;
 
@@ -106,10 +107,11 @@ fn torn_journal(dir: &std::path::Path) -> PathBuf {
     let w = Weights::with_cp_fraction(&g, 0.10);
     let res = Simulation::new(&g, &w, &HashTieBreak, SimConfig::default())
         .run(&EarlyAdopters::ContentProviders.select(&g));
-    let path = dir.join("sweep.journal");
-    let mut j = UnitJournal::open(&path).expect("open journal");
+    let mut j =
+        UnitJournal::open_in(&Store::localdisk(dir), "sweep.journal").expect("open journal");
     j.append("cps;theta=0.05", &res).expect("append");
     drop(j);
+    let path = dir.join("sweep.journal");
     let mut bytes = std::fs::read(&path).expect("read journal");
     bytes.extend_from_slice(b"rec 999 deadbeef\ntruncated mid-app");
     std::fs::write(&path, bytes).expect("write torn journal");

@@ -186,11 +186,14 @@ fn incoming_model_case_study_terminates_or_cycles() {
 
 #[test]
 fn golden_figures_match_committed_snapshots_byte_for_byte() {
-    // Regression net for the whole harness: `repro fig3/fig5/fig8` at
+    // Regression net for the whole harness: `repro fig3/5/8/9/11/12` at
     // a small fixed seed must reproduce the committed CSVs under
     // tests/fixtures/golden/ *byte-for-byte*. Any engine change that
     // silently alters results — a reordered f64 sum, a tiebreak drift,
-    // a delta-projection inexactness — fails here in tier-1.
+    // a delta-projection inexactness — fails here in tier-1. The sweep
+    // figures run twice, in-process and over two worker processes:
+    // both paths iterate the same grid, so they must each match the
+    // snapshot, not merely each other.
     //
     // To regenerate after an intentional change:
     //   repro figN --ases 150 --seed 42 --out tests/fixtures/golden
@@ -198,33 +201,85 @@ fn golden_figures_match_committed_snapshots_byte_for_byte() {
     let golden =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden");
     let out = std::env::temp_dir().join(format!("sbgp-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&out).unwrap();
-    for (cmd, files) in [
-        ("fig3", &["fig3_rounds.csv"][..]),
-        ("fig5", &["fig5_projected.csv"][..]),
-        ("fig8", &["fig8a_ases.csv", "fig8b_isps.csv"][..]),
+    let in_process: &[&str] = &[];
+    let sharded: &[&str] = &["--process-shards", "2"];
+    for (cmd, files, modes) in [
+        ("fig3", &["fig3_rounds.csv"][..], &[in_process][..]),
+        ("fig5", &["fig5_projected.csv"][..], &[in_process][..]),
+        (
+            "fig8",
+            &["fig8a_ases.csv", "fig8b_isps.csv"][..],
+            &[in_process, sharded][..],
+        ),
+        (
+            "fig9",
+            &["fig9_secure_paths.csv"][..],
+            &[in_process, sharded][..],
+        ),
+        (
+            "fig11",
+            &["fig11_stub_sensitivity.csv"][..],
+            &[in_process, sharded][..],
+        ),
+        (
+            "fig12",
+            &["fig12_cp_vs_tier1.csv"][..],
+            &[in_process, sharded][..],
+        ),
     ] {
-        let status = std::process::Command::new(bin)
-            .args([cmd, "--ases", "150", "--seed", "42", "--out"])
-            .arg(&out)
-            .stdout(std::process::Stdio::null())
-            .status()
-            .unwrap();
-        assert!(status.success(), "repro {cmd} failed");
-        for f in files {
-            let want = std::fs::read(golden.join(f))
-                .unwrap_or_else(|e| panic!("missing golden fixture {f}: {e}"));
-            let got = std::fs::read(out.join(f))
-                .unwrap_or_else(|e| panic!("repro {cmd} produced no {f}: {e}"));
-            assert!(
-                want == got,
-                "{f} diverges from the golden snapshot\n--- golden ---\n{}\n--- got ---\n{}",
-                String::from_utf8_lossy(&want),
-                String::from_utf8_lossy(&got),
-            );
+        for mode in modes {
+            let _ = std::fs::remove_dir_all(&out);
+            std::fs::create_dir_all(&out).unwrap();
+            let status = std::process::Command::new(bin)
+                .args([cmd, "--ases", "150", "--seed", "42"])
+                .args(*mode)
+                .arg("--out")
+                .arg(&out)
+                .stdout(std::process::Stdio::null())
+                .status()
+                .unwrap();
+            assert!(status.success(), "repro {cmd} {mode:?} failed");
+            for f in files {
+                let want = std::fs::read(golden.join(f))
+                    .unwrap_or_else(|e| panic!("missing golden fixture {f}: {e}"));
+                let got = std::fs::read(out.join(f))
+                    .unwrap_or_else(|e| panic!("repro {cmd} {mode:?} produced no {f}: {e}"));
+                assert!(
+                    want == got,
+                    "{f} ({mode:?}) diverges from the golden snapshot\n--- golden ---\n{}\n--- got ---\n{}",
+                    String::from_utf8_lossy(&want),
+                    String::from_utf8_lossy(&got),
+                );
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn help_matches_the_committed_text_and_unknown_commands_exit_2() {
+    // `repro help` is rendered from the command registry; this pins it
+    // byte-for-byte to tests/fixtures/golden/help.txt.
+    let bin = env!("CARGO_BIN_EXE_repro");
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden");
+    let want = std::fs::read(golden.join("help.txt")).expect("help fixture");
+    let help = std::process::Command::new(bin)
+        .arg("help")
+        .output()
+        .unwrap();
+    assert!(help.status.success());
+    assert!(
+        help.stdout == want,
+        "repro help diverges from the fixture:\n{}",
+        String::from_utf8_lossy(&help.stdout)
+    );
+    let unknown = std::process::Command::new(bin)
+        .arg("fig99")
+        .output()
+        .unwrap();
+    assert_eq!(unknown.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&unknown.stderr).contains("unknown command \"fig99\""));
 }
 
 #[test]
