@@ -297,6 +297,51 @@ impl EngineStats {
             self.delta_touched_nodes as f64 / self.delta_full_nodes as f64
         }
     }
+
+    /// Fold `other` into these totals. Work and lookup counters
+    /// (destinations, trees, passes, atlas hits/misses, delta
+    /// projections) sum. The storage gauges (bytes, stored, evicted,
+    /// build time) describe the shared atlas itself, so `other`'s
+    /// values replace these.
+    pub fn absorb(&mut self, other: &EngineStats) {
+        self.contexts_computed += other.contexts_computed;
+        self.trees_computed += other.trees_computed;
+        self.dests_computed += other.dests_computed;
+        self.dests_reused += other.dests_reused;
+        self.passes += other.passes;
+        self.compute_ns += other.compute_ns;
+        self.atlas_hits += other.atlas_hits;
+        self.atlas_misses += other.atlas_misses;
+        self.atlas_stored = other.atlas_stored;
+        self.atlas_evicted = other.atlas_evicted;
+        self.atlas_bytes = other.atlas_bytes;
+        self.atlas_raw_bytes = other.atlas_raw_bytes;
+        self.atlas_build_ns = other.atlas_build_ns;
+        self.delta_hits += other.delta_hits;
+        self.delta_fallbacks += other.delta_fallbacks;
+        self.delta_touched_nodes += other.delta_touched_nodes;
+        self.delta_full_nodes += other.delta_full_nodes;
+    }
+
+    /// The work one engine did between its snapshot `earlier` and this
+    /// later one: counters are the difference, gauges this snapshot's.
+    pub fn since(&self, earlier: &EngineStats) -> EngineStats {
+        EngineStats {
+            contexts_computed: self.contexts_computed - earlier.contexts_computed,
+            trees_computed: self.trees_computed - earlier.trees_computed,
+            dests_computed: self.dests_computed - earlier.dests_computed,
+            dests_reused: self.dests_reused - earlier.dests_reused,
+            passes: self.passes - earlier.passes,
+            compute_ns: self.compute_ns - earlier.compute_ns,
+            atlas_hits: self.atlas_hits - earlier.atlas_hits,
+            atlas_misses: self.atlas_misses - earlier.atlas_misses,
+            delta_hits: self.delta_hits - earlier.delta_hits,
+            delta_fallbacks: self.delta_fallbacks - earlier.delta_fallbacks,
+            delta_touched_nodes: self.delta_touched_nodes - earlier.delta_touched_nodes,
+            delta_full_nodes: self.delta_full_nodes - earlier.delta_full_nodes,
+            ..*self
+        }
+    }
 }
 
 /// Internal atomic counters behind [`EngineStats`].

@@ -77,5 +77,5 @@ pub use engine::{
     panic_message, EnginePool, EngineStats, QuarantinedTask, RoundComputation, SelfCheckViolation,
     TaskFault, UtilityEngine,
 };
-pub use sim::{Outcome, RoundRecord, SimResult, Simulation};
+pub use sim::{Cell, Outcome, RoundRecord, SimResult, Simulation};
 pub use state::initial_state;

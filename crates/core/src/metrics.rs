@@ -3,12 +3,18 @@
 
 use crate::sim::SimResult;
 use sbgp_asgraph::{AsGraph, AsId, Weights};
-use sbgp_routing::{compute_tree, DestContext, RouteTree, SecureSet, TieBreaker, TreePolicy};
+use sbgp_routing::{
+    compute_tree, AtlasScratch, DestContext, RouteContext, RouteTree, RoutingAtlas, SecureSet,
+    TieBreaker, TreePolicy,
+};
 
 /// Fraction of all (source, destination) pairs whose chosen path is
 /// fully secure (Figure 9). The paper notes this lands just below
 /// `f²`, where `f` is the fraction of secure ASes, because both
 /// endpoints must be secure.
+///
+/// Computes every destination's route context afresh: the oracle that
+/// [`secure_path_fraction_in`] must agree with bit for bit.
 pub fn secure_path_fraction(
     g: &AsGraph,
     state: &SecureSet,
@@ -17,26 +23,70 @@ pub fn secure_path_fraction(
 ) -> f64 {
     let mut ctx = DestContext::new(g.len());
     let mut tree = RouteTree::new(g.len());
-    let mut secure_pairs = 0u64;
-    let mut total_pairs = 0u64;
-    for d in g.nodes() {
+    pair_fraction(g, |d| {
         ctx.compute(g, d, tiebreaker);
-        total_pairs += (ctx.reachable() - 1) as u64;
-        if !state.get(d) {
-            continue; // no path to an insecure destination can be secure
+        dest_pairs(g, &ctx, state, policy, &mut tree)
+    })
+}
+
+/// [`secure_path_fraction`], reading route contexts from `atlas` (a
+/// frozen-context atlas of `g` under `tiebreaker`) and computing only
+/// the destinations its budget left out.
+pub fn secure_path_fraction_in(
+    g: &AsGraph,
+    state: &SecureSet,
+    policy: TreePolicy,
+    tiebreaker: &dyn TieBreaker,
+    atlas: &RoutingAtlas,
+) -> f64 {
+    let mut scratch = AtlasScratch::with_capacity(g.len());
+    let mut ctx = DestContext::new(g.len());
+    let mut tree = RouteTree::new(g.len());
+    pair_fraction(g, |d| match atlas.get(d, &mut scratch) {
+        Some(view) => dest_pairs(g, &view, state, policy, &mut tree),
+        None => {
+            ctx.compute(g, d, tiebreaker);
+            dest_pairs(g, &ctx, state, policy, &mut tree)
         }
-        compute_tree(g, &ctx, state, policy, &mut tree);
-        secure_pairs += ctx
-            .order()
-            .iter()
-            .filter(|&&x| AsId(x) != d && tree.secure[x as usize])
-            .count() as u64;
+    })
+}
+
+/// Secure pairs over all pairs, summing `(secure, total)` pair counts
+/// per destination.
+fn pair_fraction(g: &AsGraph, mut per_dest: impl FnMut(AsId) -> (u64, u64)) -> f64 {
+    let (mut secure_pairs, mut total_pairs) = (0u64, 0u64);
+    for d in g.nodes() {
+        let (secure, total) = per_dest(d);
+        secure_pairs += secure;
+        total_pairs += total;
     }
     if total_pairs == 0 {
         0.0
     } else {
         secure_pairs as f64 / total_pairs as f64
     }
+}
+
+/// `(secure, total)` source counts towards the destination of `ctx`.
+fn dest_pairs<C: RouteContext + ?Sized>(
+    g: &AsGraph,
+    ctx: &C,
+    state: &SecureSet,
+    policy: TreePolicy,
+    tree: &mut RouteTree,
+) -> (u64, u64) {
+    let d = ctx.dest();
+    let total = (ctx.reachable() - 1) as u64;
+    if !state.get(d) {
+        return (0, total); // no path to an insecure destination can be secure
+    }
+    compute_tree(g, ctx, state, policy, tree);
+    let secure = ctx
+        .order()
+        .iter()
+        .filter(|&&x| AsId(x) != d && tree.secure[x as usize])
+        .count() as u64;
+    (secure, total)
 }
 
 /// Count DIAMOND scenarios (Figure 2 / Table 1): destinations for

@@ -1,8 +1,34 @@
 //! The deployment-process driver (Section 3.2).
+//!
+//! One round loop runs every simulation, as a *branching trajectory*
+//! over a list of cells. The cells share graph, weights, tiebreaker
+//! and config, and differ only in early adopters and θ
+//! ([`Simulation::run_cells`]). θ enters only the Eq. 3 comparison, so
+//! cells in the same state see the same round computation:
+//!
+//! * **Sharing.** One engine, one worker pool and one all-insecure
+//!   starting pass serve the whole list. Cells with the same initial
+//!   state start as one branch.
+//! * **Splitting.** Each round runs one engine pass per branch. Every
+//!   cell of the branch then evaluates Eq. 3 against that pass. Cells
+//!   whose decision vectors are equal continue together; the others
+//!   split off into branches of their own.
+//! * **Inheritance.** A child branch inherits the `seen` fingerprints,
+//!   the `rounds` prefix and the fault ledger, so every cell's
+//!   [`SimResult`] is `==` to the one it gets when run alone.
+//! * **Round-robin** activation changes the state between movers, so
+//!   its cells never share a branch.
+//! * **Accounting.** Each engine pass is charged to the first cell of
+//!   the branch that ran it (the starting pass to the first cell), so
+//!   the cells' [`EngineStats`] sum to the engine's own counters.
+//!
+//! [`Simulation::run`] and [`Simulation::run_constrained`] are one-cell
+//! calls of the same driver, and the oracle the branching is tested
+//! against.
 
-use crate::config::{SimConfig, UtilityModel};
+use crate::config::{Activation, SimConfig, UtilityModel};
 use crate::engine::{
-    EngineStats, QuarantinedTask, RoundComputation, SelfCheckViolation, UtilityEngine,
+    EnginePool, EngineStats, QuarantinedTask, RoundComputation, SelfCheckViolation, UtilityEngine,
 };
 use crate::{guard, state};
 use sbgp_asgraph::{AsGraph, AsId, Weights};
@@ -142,6 +168,105 @@ impl SimResult {
     }
 }
 
+/// One cell of a [`Simulation::run_cells`] call: the early adopters it
+/// seeds and the θ its ISPs deploy under. Everything else (graph,
+/// weights, tiebreaker and the rest of the [`SimConfig`]) is the
+/// simulation's own.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Cell {
+    /// The seeded early adopters.
+    pub early_adopters: Vec<AsId>,
+    /// Deployment threshold θ; replaces [`SimConfig::theta`].
+    pub theta: f64,
+}
+
+/// Where one cell starts, and the config its Eq. 3 test reads θ from.
+struct Start {
+    initial: SecureSet,
+    early_adopters: Vec<AsId>,
+    cfg: SimConfig,
+}
+
+/// Fault-tolerance ledger: the worst round completeness, every
+/// quarantined or deadline-skipped destination seen along the way, and
+/// the differential-audit tally.
+#[derive(Clone)]
+struct Ledger {
+    completeness: f64,
+    quarantined: Vec<QuarantinedTask>,
+    self_checked: usize,
+    violations: Vec<SelfCheckViolation>,
+    deadline_skipped: Vec<AsId>,
+}
+
+impl Ledger {
+    fn new() -> Self {
+        Ledger {
+            completeness: 1.0,
+            quarantined: Vec::new(),
+            self_checked: 0,
+            violations: Vec::new(),
+            deadline_skipped: Vec::new(),
+        }
+    }
+
+    fn absorb(&mut self, comp: &RoundComputation) {
+        self.completeness = self.completeness.min(comp.completeness);
+        for q in &comp.quarantined {
+            if !self.quarantined.iter().any(|e| e.dest == q.dest) {
+                self.quarantined.push(q.clone());
+            }
+        }
+        self.self_checked += comp.audited;
+        for v in &comp.violations {
+            if !self.violations.iter().any(|e| e.dest == v.dest) {
+                self.violations.push(v.clone());
+            }
+        }
+        for &d in &comp.deadline_skipped {
+            if !self.deadline_skipped.contains(&d) {
+                self.deadline_skipped.push(d);
+            }
+        }
+    }
+}
+
+/// Cells that have made identical decisions in every round so far, and
+/// the trajectory they share. A split clones it, so every child
+/// inherits the `seen` fingerprints, the `rounds` prefix and the ledger.
+#[derive(Clone)]
+struct Branch {
+    /// Indices into the cell list, ascending. The first is charged for
+    /// the branch's engine passes.
+    cells: Vec<usize>,
+    state: SecureSet,
+    rounds: Vec<RoundRecord>,
+    /// State fingerprint → the round that produced it (0 = initial).
+    seen: HashMap<u64, usize>,
+    ledger: Ledger,
+}
+
+/// Eq. 3: flip iff projected > (1+θ_n)·current (θ_n = θ unless the
+/// Section 8.2 jitter is set).
+fn wants_to_flip(cfg: &SimConfig, g: &AsGraph, n: AsId, u: f64, proj: f64) -> bool {
+    let theta_n = cfg.theta_for(g, n);
+    proj > (1.0 + theta_n) * u * (1.0 + DECISION_EPS) + DECISION_EPS
+}
+
+/// Run one engine pass and charge its work to `payer`.
+fn pass(
+    engine: &UtilityEngine<'_>,
+    pool: &EnginePool,
+    state: &SecureSet,
+    candidates: &[AsId],
+    payer: &mut EngineStats,
+) -> RoundComputation {
+    let before = engine.stats();
+    let comp = engine.compute_in(pool, state, candidates);
+    payer.absorb(&engine.stats().since(&before));
+    comp
+}
+
 /// A configured deployment simulation, ready to run.
 pub struct Simulation<'a> {
     g: &'a AsGraph,
@@ -180,9 +305,33 @@ impl<'a> Simulation<'a> {
     /// Run the deployment process from the seeded initial state
     /// (early adopters + their simplex stubs) to termination.
     pub fn run(&self, early_adopters: &[AsId]) -> SimResult {
-        let initial = state::initial_state(self.g, early_adopters);
+        let cell = Cell {
+            early_adopters: early_adopters.to_vec(),
+            theta: self.cfg.theta,
+        };
+        self.run_cells(&[cell]).pop().expect("one cell, one result")
+    }
+
+    /// Run every cell from its seeded initial state to termination,
+    /// as one branching trajectory (see the module docs). Each result
+    /// is `==` to the one [`run`](Self::run) gives for that cell
+    /// alone; only the work counters in [`SimResult::stats`] differ,
+    /// since each engine pass is charged to one cell of the branch that
+    /// ran it.
+    pub fn run_cells(&self, cells: &[Cell]) -> Vec<SimResult> {
+        let starts = cells
+            .iter()
+            .map(|c| Start {
+                initial: state::initial_state(self.g, &c.early_adopters),
+                early_adopters: c.early_adopters.clone(),
+                cfg: SimConfig {
+                    theta: c.theta,
+                    ..self.cfg
+                },
+            })
+            .collect();
         let movable: Vec<AsId> = self.g.isps().collect();
-        self.run_constrained(initial, &movable, early_adopters.to_vec())
+        self.drive(starts, &movable).0
     }
 
     /// Run from an arbitrary initial state with only `movable` ISPs
@@ -200,6 +349,23 @@ impl<'a> Simulation<'a> {
         movable: &[AsId],
         early_adopters: Vec<AsId>,
     ) -> SimResult {
+        let start = Start {
+            initial,
+            early_adopters,
+            cfg: self.cfg,
+        };
+        self.drive(vec![start], movable)
+            .0
+            .pop()
+            .expect("one cell, one result")
+    }
+
+    /// The branching driver behind every run: one engine, one pool and
+    /// one all-insecure starting pass serve all `starts`, then each
+    /// round costs one engine pass per live branch. Returns the results
+    /// in `starts` order, and the engine's own counters, which the
+    /// cells' charged counters sum to.
+    fn drive(&self, starts: Vec<Start>, movable: &[AsId]) -> (Vec<SimResult>, EngineStats) {
         let g = self.g;
         let engine = match &self.atlas {
             Some(atlas) => UtilityEngine::with_atlas(
@@ -212,66 +378,85 @@ impl<'a> Simulation<'a> {
             None => UtilityEngine::new(g, self.weights, self.tiebreaker, self.cfg),
         };
         let model = self.cfg.model;
-
-        // Fault-tolerance ledger: the worst round completeness, every
-        // quarantined or deadline-skipped destination seen along the
-        // way, and the differential-audit tally.
-        #[derive(Default)]
-        struct Ledger {
-            completeness: f64,
-            quarantined: Vec<QuarantinedTask>,
-            self_checked: usize,
-            violations: Vec<SelfCheckViolation>,
-            deadline_skipped: Vec<AsId>,
-        }
-        fn absorb(comp: &RoundComputation, ledger: &mut Ledger) {
-            ledger.completeness = ledger.completeness.min(comp.completeness);
-            for q in &comp.quarantined {
-                if !ledger.quarantined.iter().any(|e| e.dest == q.dest) {
-                    ledger.quarantined.push(q.clone());
-                }
-            }
-            ledger.self_checked += comp.audited;
-            for v in &comp.violations {
-                if !ledger.violations.iter().any(|e| e.dest == v.dest) {
-                    ledger.violations.push(v.clone());
-                }
-            }
-            for &d in &comp.deadline_skipped {
-                if !ledger.deadline_skipped.contains(&d) {
-                    ledger.deadline_skipped.push(d);
-                }
-            }
-        }
+        let mut charged = vec![EngineStats::default(); starts.len()];
+        let mut results: Vec<Option<SimResult>> = vec![None; starts.len()];
 
         // The whole round loop runs inside one pool: workers and their
         // scratch are spawned once and survive every engine pass.
-        let mut result = engine.with_pool(|pool| {
-            let mut ledger = Ledger {
-                completeness: 1.0,
-                ..Ledger::default()
-            };
+        engine.with_pool(|pool| {
             // "Starting utility": the all-insecure world, before even the
             // early adopters deployed (Figure 4's normalizer). This pass
             // also warms the engine's cross-round C.4-1 cache: every
             // destination is insecure here, so later rounds only recompute
             // destinations that have since become secure.
             let insecure = SecureSet::new(g.len());
-            let starting = engine.compute_in(pool, &insecure, &[]);
-            absorb(&starting, &mut ledger);
+            let starting = pass(&engine, pool, &insecure, &[], &mut charged[0]);
+            let mut root_ledger = Ledger::new();
+            root_ledger.absorb(&starting);
             let starting_utilities = match model {
-                UtilityModel::Outgoing => starting.base_out.clone(),
-                UtilityModel::Incoming => starting.base_in.clone(),
+                UtilityModel::Outgoing => starting.base_out,
+                UtilityModel::Incoming => starting.base_in,
             };
 
-            let initial_state = initial.clone();
-            let mut state = initial;
-            let mut rounds: Vec<RoundRecord> = Vec::new();
-            let mut seen: HashMap<u64, usize> = HashMap::new();
-            seen.insert(state.fingerprint(), 0);
-            let mut outcome = Outcome::MaxRounds;
+            // Cells that start from the same state share a branch, except
+            // under round-robin activation: there each mover sees the
+            // moves before it, so cells with different θ part mid-round.
+            let shared = self.cfg.activation == Activation::Simultaneous;
+            let mut live: Vec<Branch> = Vec::new();
+            for (i, s) in starts.iter().enumerate() {
+                match live.iter_mut().find(|b| shared && b.state == s.initial) {
+                    Some(b) => b.cells.push(i),
+                    None => live.push(Branch {
+                        cells: vec![i],
+                        state: s.initial.clone(),
+                        rounds: Vec::new(),
+                        seen: HashMap::from([(s.initial.fingerprint(), 0)]),
+                        ledger: root_ledger.clone(),
+                    }),
+                }
+            }
 
-            for round in 1..=self.cfg.max_rounds {
+            let mut finish = |b: Branch, outcome: Outcome| {
+                let Branch {
+                    cells,
+                    state,
+                    mut rounds,
+                    mut ledger,
+                    ..
+                } = b;
+                ledger.quarantined.sort_by_key(|q| q.dest);
+                ledger.violations.sort_by_key(|v| v.dest);
+                ledger.deadline_skipped.sort_unstable();
+                for (k, &c) in cells.iter().enumerate() {
+                    // The last cell takes the trajectory; the others copy it.
+                    let rounds = if k + 1 == cells.len() {
+                        std::mem::take(&mut rounds)
+                    } else {
+                        rounds.clone()
+                    };
+                    results[c] = Some(SimResult {
+                        starting_utilities: starting_utilities.clone(),
+                        initial_state: starts[c].initial.clone(),
+                        rounds,
+                        final_state: state.clone(),
+                        outcome,
+                        early_adopters: starts[c].early_adopters.clone(),
+                        completeness: ledger.completeness,
+                        quarantined: ledger.quarantined.clone(),
+                        self_checked: ledger.self_checked,
+                        violations: ledger.violations.clone(),
+                        deadline_skipped: ledger.deadline_skipped.clone(),
+                        stats: EngineStats::default(),
+                    });
+                }
+            };
+
+            while let Some(mut branch) = live.pop() {
+                if branch.rounds.len() == self.cfg.max_rounds {
+                    finish(branch, Outcome::MaxRounds);
+                    continue;
+                }
+                let round = branch.rounds.len() + 1;
                 // Candidates: insecure ISPs (turn-on) always; secure ISPs
                 // (turn-off) only in the incoming model (Theorem 6.2 /
                 // optimization C.4-2 rules them out in the outgoing model).
@@ -279,147 +464,199 @@ impl<'a> Simulation<'a> {
                 let candidates: Vec<AsId> = movable
                     .iter()
                     .copied()
-                    .filter(|&n| !state.get(n) || model == UtilityModel::Incoming)
+                    .filter(|&n| !branch.state.get(n) || model == UtilityModel::Incoming)
                     .collect();
-
-                let secure_before = state.count();
-                let mut turned_on = Vec::new();
-                let mut turned_off = Vec::new();
-                let mut newly_secure_stubs = Vec::new();
+                let secure_before = branch.state.count();
+                let payer = &mut charged[branch.cells[0]];
                 let mut projected = Vec::with_capacity(candidates.len());
-                let utilities;
+                let mut utilities;
+                // Each step: a branch that already took this round's
+                // actions, and those actions (turned on, turned off,
+                // newly secure stubs).
+                let mut steps: Vec<(Branch, [Vec<AsId>; 3])> = Vec::new();
 
                 match self.cfg.activation {
-                    crate::config::Activation::Simultaneous => {
+                    Activation::Simultaneous => {
                         // The paper's rule: everyone best-responds to the
-                        // same state, changes land together.
-                        let comp = engine.compute_in(pool, &state, &candidates);
-                        absorb(&comp, &mut ledger);
-                        for &n in &candidates {
-                            let u = comp.base(model, n);
-                            let proj = comp.projected(model, n);
-                            projected.push((n, proj));
-                            // Eq. 3: flip iff projected > (1+θ_n)·current
-                            // (θ_n = θ unless Section 8.2 jitter is set).
-                            let theta_n = self.cfg.theta_for(g, n);
-                            if proj > (1.0 + theta_n) * u * (1.0 + DECISION_EPS) + DECISION_EPS {
-                                if state.get(n) {
-                                    turned_off.push(n);
-                                } else {
-                                    turned_on.push(n);
-                                }
+                        // same state, changes land together. Every cell of
+                        // the branch reads the same pass; cells whose Eq. 3
+                        // decisions differ split off into branches of their
+                        // own.
+                        let comp = pass(&engine, pool, &branch.state, &candidates, payer);
+                        branch.ledger.absorb(&comp);
+                        let mut groups: Vec<(Vec<AsId>, Vec<usize>)> = Vec::new();
+                        for &c in &branch.cells {
+                            let cfg = &starts[c].cfg;
+                            let flipped: Vec<AsId> = candidates
+                                .iter()
+                                .copied()
+                                .filter(|&n| {
+                                    wants_to_flip(
+                                        cfg,
+                                        g,
+                                        n,
+                                        comp.base(model, n),
+                                        comp.projected(model, n),
+                                    )
+                                })
+                                .collect();
+                            match groups.iter_mut().find(|(f, _)| *f == flipped) {
+                                Some((_, cells)) => cells.push(c),
+                                None => groups.push((flipped, vec![c])),
                             }
                         }
-                        // Apply actions; newly secure ISPs upgrade stubs.
-                        for &n in &turned_on {
-                            state.set(n, true);
-                            for s in g.stub_customers_of(n) {
-                                if !state.get(s) {
-                                    state.set(s, true);
-                                    newly_secure_stubs.push(s);
-                                }
-                            }
-                        }
-                        for &n in &turned_off {
-                            state.set(n, false);
-                        }
+                        projected.extend(candidates.iter().map(|&n| (n, comp.projected(model, n))));
                         utilities = match model {
                             UtilityModel::Outgoing => comp.base_out,
                             UtilityModel::Incoming => comp.base_in,
                         };
+                        let (last_flipped, last_cells) = groups.pop().expect("a branch has cells");
+                        let mut children: Vec<(Branch, Vec<AsId>)> = groups
+                            .into_iter()
+                            .map(|(flipped, cells)| {
+                                (
+                                    Branch {
+                                        cells,
+                                        ..branch.clone()
+                                    },
+                                    flipped,
+                                )
+                            })
+                            .collect();
+                        branch.cells = last_cells;
+                        children.push((branch, last_flipped));
+                        for (mut child, flipped) in children {
+                            let state = &mut child.state;
+                            let (on, off): (Vec<AsId>, Vec<AsId>) =
+                                flipped.into_iter().partition(|&n| !state.get(n));
+                            // Newly secure ISPs upgrade their stubs.
+                            let mut stubs = Vec::new();
+                            for &n in &on {
+                                state.set(n, true);
+                                for s in g.stub_customers_of(n) {
+                                    if !state.get(s) {
+                                        state.set(s, true);
+                                        stubs.push(s);
+                                    }
+                                }
+                            }
+                            for &n in &off {
+                                state.set(n, false);
+                            }
+                            steps.push((child, [on, off, stubs]));
+                        }
                     }
-                    crate::config::Activation::RoundRobin => {
+                    Activation::RoundRobin => {
                         // Asynchronous sweep: each ISP moves seeing every
                         // earlier move of the same round. One engine pass
                         // per mover (much slower; meant for gadget-scale
-                        // dynamics, not the 36K-AS sweeps).
-                        let snapshot = engine.compute_in(pool, &state, &[]);
-                        absorb(&snapshot, &mut ledger);
+                        // dynamics, not the 36K-AS sweeps). A round-robin
+                        // branch holds exactly one cell.
+                        let cfg = &starts[branch.cells[0]].cfg;
+                        let snapshot = pass(&engine, pool, &branch.state, &[], payer);
+                        branch.ledger.absorb(&snapshot);
                         utilities = match model {
                             UtilityModel::Outgoing => snapshot.base_out,
                             UtilityModel::Incoming => snapshot.base_in,
                         };
+                        let (mut on, mut off, mut stubs) = (Vec::new(), Vec::new(), Vec::new());
                         for &n in &candidates {
-                            let comp = engine.compute_in(pool, &state, &[n]);
-                            absorb(&comp, &mut ledger);
-                            let u = comp.base(model, n);
-                            let proj = comp.projected(model, n);
+                            let comp = pass(&engine, pool, &branch.state, &[n], payer);
+                            branch.ledger.absorb(&comp);
+                            let (u, proj) = (comp.base(model, n), comp.projected(model, n));
                             projected.push((n, proj));
-                            let theta_n = self.cfg.theta_for(g, n);
-                            if proj > (1.0 + theta_n) * u * (1.0 + DECISION_EPS) + DECISION_EPS {
+                            if wants_to_flip(cfg, g, n, u, proj) {
+                                let state = &mut branch.state;
                                 if state.get(n) {
                                     state.set(n, false);
-                                    turned_off.push(n);
+                                    off.push(n);
                                 } else {
                                     state.set(n, true);
                                     for s in g.stub_customers_of(n) {
                                         if !state.get(s) {
                                             state.set(s, true);
-                                            newly_secure_stubs.push(s);
+                                            stubs.push(s);
                                         }
                                     }
-                                    turned_on.push(n);
+                                    on.push(n);
                                 }
                             }
                         }
+                        steps.push((branch, [on, off, stubs]));
                     }
                 }
 
-                // Theorem 6.2 invariant: in the outgoing model deployment
-                // only ever grows — a turn-off or a shrinking secure set
-                // here is a driver bug, not a modeling outcome.
-                if model == UtilityModel::Outgoing {
-                    guard::assert_outgoing_monotone(&turned_off, secure_before, state.count());
-                }
-
-                let stable = turned_on.is_empty() && turned_off.is_empty();
-                let secure_isps_after = g.isps().filter(|&n| state.get(n)).count();
-                rounds.push(RoundRecord {
-                    round,
-                    utilities,
-                    projected,
-                    turned_on,
-                    turned_off,
-                    newly_secure_stubs,
-                    secure_ases_after: state.count(),
-                    secure_isps_after,
-                });
-
-                if stable {
-                    outcome = Outcome::Stable { round };
-                    break;
-                }
-                let fp = state.fingerprint();
-                if let Some(&first) = seen.get(&fp) {
-                    outcome = Outcome::Oscillation {
-                        first_seen: first,
-                        period: round - first,
+                let last = steps.len() - 1;
+                for (k, (mut child, [turned_on, turned_off, newly_secure_stubs])) in
+                    steps.into_iter().enumerate()
+                {
+                    // Theorem 6.2 invariant: in the outgoing model deployment
+                    // only ever grows — a turn-off or a shrinking secure set
+                    // here is a driver bug, not a modeling outcome.
+                    if model == UtilityModel::Outgoing {
+                        guard::assert_outgoing_monotone(
+                            &turned_off,
+                            secure_before,
+                            child.state.count(),
+                        );
+                    }
+                    let stable = turned_on.is_empty() && turned_off.is_empty();
+                    // The last step takes the round's vectors; the others copy them.
+                    let (utilities, projected) = if k == last {
+                        (
+                            std::mem::take(&mut utilities),
+                            std::mem::take(&mut projected),
+                        )
+                    } else {
+                        (utilities.clone(), projected.clone())
                     };
-                    break;
+                    child.rounds.push(RoundRecord {
+                        round,
+                        utilities,
+                        projected,
+                        turned_on,
+                        turned_off,
+                        newly_secure_stubs,
+                        secure_ases_after: child.state.count(),
+                        secure_isps_after: g.isps().filter(|&n| child.state.get(n)).count(),
+                    });
+                    if stable {
+                        finish(child, Outcome::Stable { round });
+                        continue;
+                    }
+                    let fp = child.state.fingerprint();
+                    if let Some(&first) = child.seen.get(&fp) {
+                        let period = round - first;
+                        finish(
+                            child,
+                            Outcome::Oscillation {
+                                first_seen: first,
+                                period,
+                            },
+                        );
+                        continue;
+                    }
+                    child.seen.insert(fp, round);
+                    live.push(child);
                 }
-                seen.insert(fp, round);
-            }
-
-            ledger.quarantined.sort_by_key(|q| q.dest);
-            ledger.violations.sort_by_key(|v| v.dest);
-            ledger.deadline_skipped.sort_unstable();
-            SimResult {
-                starting_utilities,
-                initial_state,
-                rounds,
-                final_state: state,
-                outcome,
-                early_adopters,
-                completeness: ledger.completeness,
-                quarantined: ledger.quarantined,
-                self_checked: ledger.self_checked,
-                violations: ledger.violations,
-                deadline_skipped: ledger.deadline_skipped,
-                stats: EngineStats::default(),
             }
         });
-        result.stats = engine.stats();
-        result
+
+        // Every cell reports the shared atlas's gauges beside the work it
+        // was charged for.
+        let total = engine.stats();
+        let results = results
+            .into_iter()
+            .zip(charged)
+            .map(|(r, mut stats)| {
+                stats.absorb(&total.since(&total));
+                SimResult {
+                    stats,
+                    ..r.expect("every cell finishes")
+                }
+            })
+            .collect();
+        (results, total)
     }
 }
 
@@ -709,6 +946,142 @@ mod tests {
             assert!(q.message.contains("soft deadline"), "{}", q.message);
         }
         assert!(res.deadline_skipped.is_empty());
+    }
+
+    /// The Appendix K.5 chicken gadget (as built in `sbgp-gadgets`):
+    /// players 10 and 20 in a web of fixed nodes, whose incoming-model
+    /// game flips `(ON,ON) ↔ (OFF,OFF)` under a small θ. Returns the
+    /// graph, the all-secure-but-the-fallback-chains state with both
+    /// players ON, and the players.
+    fn chicken_world() -> (AsGraph, SecureSet, [AsId; 2]) {
+        let mut b = AsGraphBuilder::new();
+        let [n1, n2, n3, n4, n5, n6, p10, p20, d1, d2, n1000, n1001, local1, local2, cross1, cross2] =
+            [
+                1, 2, 3, 4, 5, 6, 10, 20, 31, 32, 1000, 1001, 2001, 2002, 2003, 2004,
+            ]
+            .map(|asn| b.add_node(asn));
+        let m = 10;
+        for (p, c) in [
+            (p20, p10),
+            (p10, d1),
+            (n1000, d1),
+            (p20, d2),
+            (n1001, d2),
+            (p10, local1),
+            (n1000, local1),
+            (p20, local2),
+            (n1001, local2),
+            (n6, p20),
+            (n4, n1),
+            (p20, n4),
+            (p10, cross1),
+            (n1, cross1),
+            (n5, n2),
+            (p10, n5),
+            (n3, cross2),
+            (n2, cross2),
+        ] {
+            b.add_provider_customer(p, c).unwrap();
+        }
+        b.add_peer_peer(p10, n6).unwrap();
+        b.add_peer_peer(n3, p20).unwrap();
+        for (root, first, leaves) in [(cross1, 3000, m - 1), (cross2, 4000, 2 * m - 1)] {
+            for k in 0..leaves {
+                let leaf = b.add_node(first + k as u32);
+                b.add_provider_customer(root, leaf).unwrap();
+            }
+        }
+        let g = b.build().unwrap();
+        let mut on = SecureSet::new(g.len());
+        for n in g.nodes() {
+            on.set(n, ![n1, n2, n4, n5].contains(&n));
+        }
+        (g, on, [p10, p20])
+    }
+
+    #[test]
+    fn oscillating_and_stable_cells_split_and_match_their_one_cell_runs() {
+        let (g, on, players) = chicken_world();
+        let w = Weights::uniform(&g);
+        let tb = LowestAsnTieBreak;
+        let cfg = SimConfig {
+            model: UtilityModel::Incoming,
+            max_rounds: 20,
+            ..SimConfig::default()
+        };
+        let mut off = on.clone();
+        for &p in &players {
+            off.set(p, false);
+        }
+        let mut mixed = on.clone();
+        mixed.set(players[1], false);
+        let thetas = [0.0, 0.001, 0.05, 0.5, 10.0];
+        let starts: Vec<Start> = [on, off, mixed]
+            .iter()
+            .flat_map(|initial| {
+                thetas.iter().map(|&theta| Start {
+                    initial: initial.clone(),
+                    early_adopters: Vec::new(),
+                    cfg: SimConfig { theta, ..cfg },
+                })
+            })
+            .collect();
+        let alone: Vec<SimResult> = starts
+            .iter()
+            .map(|s| {
+                Simulation::new(&g, &w, &tb, s.cfg).run_constrained(
+                    s.initial.clone(),
+                    &players,
+                    Vec::new(),
+                )
+            })
+            .collect();
+        let (together, _) = Simulation::new(&g, &w, &tb, cfg).drive(starts, &players);
+        assert_eq!(together, alone);
+        let oscillating = |r: &&SimResult| matches!(r.outcome, Outcome::Oscillation { .. });
+        let cycles = together.iter().filter(oscillating).count();
+        assert!(cycles > 0, "no cell oscillated");
+        assert!(cycles < together.len(), "no cell settled");
+    }
+
+    #[test]
+    fn cells_are_charged_every_engine_pass_exactly_once() {
+        use sbgp_asgraph::gen::{generate, GenParams};
+        let g = generate(&GenParams::new(120, 5)).graph;
+        let w = Weights::with_cp_fraction(&g, 0.1);
+        let tb = LowestAsnTieBreak;
+        let sim = Simulation::new(&g, &w, &tb, SimConfig::default());
+        let top: Vec<AsId> =
+            sbgp_asgraph::stats::top_k_by_degree(&g, sbgp_asgraph::AsClass::Isp, 5);
+        let starts: Vec<Start> = [Vec::new(), top]
+            .iter()
+            .flat_map(|adopters| {
+                [0.0, 0.05, 0.2, 0.5].map(|theta| Start {
+                    initial: state::initial_state(&g, adopters),
+                    early_adopters: adopters.clone(),
+                    cfg: SimConfig {
+                        theta,
+                        ..SimConfig::default()
+                    },
+                })
+            })
+            .collect();
+        let (results, total) = sim.drive(starts, &g.isps().collect::<Vec<_>>());
+        let mut sum = EngineStats::default();
+        for r in &results {
+            sum.absorb(&r.stats);
+            assert_eq!(
+                r.stats.atlas_bytes, total.atlas_bytes,
+                "every cell carries the gauges"
+            );
+        }
+        assert_eq!(sum, total);
+        let alone: u64 = results.iter().map(|r| 1 + r.rounds.len() as u64).sum();
+        assert!(
+            total.passes < alone,
+            "{} passes shared vs {alone} alone",
+            total.passes
+        );
     }
 
     #[test]

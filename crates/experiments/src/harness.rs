@@ -30,33 +30,6 @@ use sbgp_core::storage::{LockOutcome, Store};
 use sbgp_core::{EngineStats, SimResult};
 use std::path::{Path, PathBuf};
 
-/// Fold one unit's engine counters into the sweep totals. Work and
-/// lookup counters (destinations, trees, passes, atlas hits/misses,
-/// delta projections) are attributed per engine — each unit's snapshot
-/// covers only that unit's traffic, even over a shared atlas — so they
-/// sum across units. The storage gauges (bytes, stored, evicted,
-/// build time) describe the shared per-graph atlas itself; the latest
-/// snapshot is kept.
-fn absorb(total: &mut EngineStats, s: &EngineStats) {
-    total.contexts_computed += s.contexts_computed;
-    total.trees_computed += s.trees_computed;
-    total.dests_computed += s.dests_computed;
-    total.dests_reused += s.dests_reused;
-    total.passes += s.passes;
-    total.compute_ns += s.compute_ns;
-    total.atlas_hits += s.atlas_hits;
-    total.atlas_misses += s.atlas_misses;
-    total.atlas_stored = s.atlas_stored;
-    total.atlas_evicted = s.atlas_evicted;
-    total.atlas_bytes = s.atlas_bytes;
-    total.atlas_raw_bytes = s.atlas_raw_bytes;
-    total.atlas_build_ns = s.atlas_build_ns;
-    total.delta_hits += s.delta_hits;
-    total.delta_fallbacks += s.delta_fallbacks;
-    total.delta_touched_nodes += s.delta_touched_nodes;
-    total.delta_full_nodes += s.delta_full_nodes;
-}
-
 /// A checkpoint key, made filesystem-safe for artifact filenames.
 fn sanitize(key: &str) -> String {
     key.chars()
@@ -357,7 +330,7 @@ impl SweepRunner {
         }
         self.self_checked += result.self_checked;
         self.violations += result.violations.len();
-        absorb(&mut self.engine, stats);
+        self.engine.absorb(stats);
         for v in &result.violations {
             let file = self.artifact_dir.join(format!(
                 "{}-{}-dest{}.txt",

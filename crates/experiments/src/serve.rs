@@ -31,7 +31,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -145,11 +145,14 @@ struct ServeStats {
 
 struct Daemon {
     board: Mutex<JobBoard>,
-    /// Notified after every board mutation ([`Daemon::update`]): the
-    /// idle executor and parked status requests wait on it.
+    /// Notified after every board change a waiter cares about
+    /// ([`Daemon::update`], an accepted submit): the idle executor and
+    /// parked status requests wait on it.
     changed: Condvar,
     /// Status requests currently parked on `changed`.
     parked_status: AtomicUsize,
+    /// Times the idle executor woke up from `changed` (`/stats`).
+    executor_wakeups: AtomicU64,
     store: Store,
     opts: Options,
     base: PathBuf,
@@ -163,9 +166,10 @@ impl Daemon {
     }
 
     /// Mutate the board, then wake everything waiting on it: how
-    /// admission, requeue, completion and drain reach the executor and
-    /// the parked status requests ([`next_job`], which must keep its
-    /// guard to wait on, notifies for the start itself).
+    /// requeue, completion and drain reach the executor and the parked
+    /// status requests ([`next_job`], which must keep its guard to wait
+    /// on, notifies for the start itself, and [`post_job`] only for an
+    /// accepted submit).
     fn update<T>(&self, f: impl FnOnce(&mut JobBoard) -> T) -> T {
         let out = f(&mut self.board());
         self.changed.notify_all();
@@ -243,6 +247,7 @@ fn next_job(d: &Daemon) -> Option<(String, JobSpec, u32)> {
                 board = d.board();
             }
         }
+        d.executor_wakeups.fetch_add(1, Ordering::Relaxed);
     }
     None
 }
@@ -690,7 +695,12 @@ fn post_job(d: &Daemon, req: &Request, fallback_client: &str, stream: &mut TcpSt
         return respond_json(stream, 400, "Bad Request", &body);
     }
     let spec = JobSpec::new(cmd, &config);
-    let admission = d.update(|board| board.submit(spec, client));
+    // Only an accepted job is news to the executor and the parked
+    // status requests; a cached, pending or refused submit wakes nobody.
+    let admission = d.board().submit(spec, client);
+    if matches!(admission, Ok(Admission::Accepted { .. })) {
+        d.changed.notify_all();
+    }
     match admission {
         Err(e) => {
             let body = format!("{{\"error\":\"{}\"}}", json_escape(&e.to_string()));
@@ -802,13 +812,14 @@ fn stats_json(d: &Daemon) -> String {
         0.0
     };
     let (ahits, amisses, aentries, abytes) = atlas_cache_stats();
+    let wakeups = d.executor_wakeups.load(Ordering::Relaxed);
     format!(
         "{{\"queued\":{queued},\"running\":{running},\"done\":{done},\"parked\":{parked},\
          \"result_cache_hits\":{cache_hits},\"jobs_served\":{jobs_served},\"failures\":{failures},\
          \"mean_job_ms\":{mean_ms:.3},\"max_job_ms\":{max_ms},\
          \"atlas_cache_hits\":{ahits},\"atlas_cache_misses\":{amisses},\
          \"atlas_cache_entries\":{aentries},\"atlas_cache_bytes\":{abytes},\
-         \"draining\":{draining}}}"
+         \"executor_wakeups\":{wakeups},\"draining\":{draining}}}"
     )
 }
 
@@ -1002,6 +1013,7 @@ pub fn serve_cmd(opts: &Options) -> Result<(), ExperimentError> {
         board: Mutex::new(board),
         changed: Condvar::new(),
         parked_status: AtomicUsize::new(0),
+        executor_wakeups: AtomicU64::new(0),
         store: store.clone(),
         opts: opts.clone(),
         base,

@@ -8,7 +8,16 @@
 //! in-process loop here ([`sweep`]), the supervisor's dispatch pass and
 //! the pipe and TCP workers ([`crate::shards`]), and `repro serve`,
 //! which runs these same figure functions. Units compute through one
-//! [`UnitRunner`] wherever they run, so every path agrees on the work.
+//! [`UnitRunner`] wherever they run, so every path agrees on the
+//! results.
+//!
+//! In-process, the units a checkpoint lacks are computed by group:
+//! every missing unit on the same graph, CP share and stub policy runs
+//! in one branching call ([`sbgp_core::Simulation::run_cells`]), which
+//! shares each engine pass among all cells still in the same state.
+//! Workers still compute one key per call, so dispatch is unchanged,
+//! and a sharded run does more engine passes than an in-process one
+//! for byte-identical figures.
 //!
 //! Every unit is a checkpoint unit: with `--checkpoint-every N`, each
 //! finished cell is journaled, the journal is compacted into the
@@ -21,8 +30,8 @@ use crate::harness::SweepRunner;
 use crate::output::{f3, heading, Table};
 use crate::world::{case_study_config, figure8_adopter_sets, World, THETAS, TIEBREAK};
 use sbgp_asgraph::{AsGraph, Weights};
-use sbgp_core::{metrics, EarlyAdopters, SimConfig, SimResult, Simulation};
-use sbgp_routing::{RoutingAtlas, TreePolicy};
+use sbgp_core::{metrics, Cell, EarlyAdopters, SimConfig, SimResult, Simulation};
+use sbgp_routing::{RoutingAtlas, SecureSet, TreePolicy};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -160,17 +169,30 @@ pub fn fig12_grid(_world: &World) -> Vec<(String, UnitSpec)> {
 // Computing units
 // ---------------------------------------------------------------------
 
+impl UnitSpec {
+    /// What units must share to run as one branching call: they then
+    /// differ only in adopters and θ ([`Simulation::run_cells`]).
+    fn group(&self) -> (GraphSel, Option<u64>, bool) {
+        (
+            self.graph,
+            self.cp_x.map(f64::to_bits),
+            self.stubs_prefer_secure,
+        )
+    }
+}
+
 /// Computes sweep units over one world, in-process or inside a worker.
 ///
 /// A graph's frozen-context atlas is shared read-only by every unit on
 /// that graph — all θ values, adopter sets and both stub tiebreak
 /// policies, since per-destination route contexts are state-independent
 /// (Observation C.1) and do not depend on [`TreePolicy`]. It is built on
-/// the graph's first unit and kept while units stay on that graph: one
+/// the graph's first use and kept while units stay on that graph: one
 /// atlas resident at a time, and none for a graph whose units all came
-/// back from a checkpoint or a worker. Under `repro serve` the daemon's
-/// hot atlas cache sits in front of the build; one-shot runs never
-/// install it. Weights are cached per `(graph, CP share)`.
+/// back from a checkpoint or a worker (unless a row needs it, as fig9's
+/// secure-path metric does). Under `repro serve` the daemon's hot atlas
+/// cache sits in front of the build; one-shot runs never install it.
+/// Weights are cached per `(graph, CP share)`.
 #[derive(Default)]
 pub struct UnitRunner {
     atlas: Option<(GraphSel, Arc<RoutingAtlas>)>,
@@ -178,46 +200,74 @@ pub struct UnitRunner {
 }
 
 impl UnitRunner {
-    /// Simulate `spec` over `world`.
-    pub fn run(&mut self, world: &World, spec: &UnitSpec, opts: &Options) -> SimResult {
-        let g = spec.graph.of(world);
-        if self.atlas.as_ref().map(|(graph, _)| *graph) != Some(spec.graph) {
+    /// The atlas of `graph`, built (after releasing any other graph's)
+    /// if it is not the resident one.
+    pub fn atlas(&mut self, world: &World, graph: GraphSel, opts: &Options) -> &Arc<RoutingAtlas> {
+        if self.atlas.as_ref().map(|(g, _)| *g) != Some(graph) {
             // Release the other graph's atlas before building this one.
             self.atlas = None;
+            let g = graph.of(world);
             let budget = opts.ctx_cache_mb.saturating_mul(1 << 20);
             let atlas = crate::serve::cached_atlas(g, opts, || {
                 Arc::new(RoutingAtlas::build(g, &TIEBREAK, budget, opts.threads))
             });
-            self.atlas = Some((spec.graph, atlas));
+            self.atlas = Some((graph, atlas));
         }
-        let (_, atlas) = self.atlas.as_ref().expect("built above");
-        let cp = spec.cp_x.unwrap_or(opts.cp_fraction);
+        &self.atlas.as_ref().expect("built above").1
+    }
+
+    /// Simulate `spec` over `world`.
+    pub fn run(&mut self, world: &World, spec: &UnitSpec, opts: &Options) -> SimResult {
+        let mut results = self.run_group(world, &[spec], opts);
+        results.pop().expect("one unit, one result")
+    }
+
+    /// Simulate `specs` over `world` as one branching call, results in
+    /// `specs` order. Every spec must have the same
+    /// [`group`](UnitSpec::group).
+    fn run_group(&mut self, world: &World, specs: &[&UnitSpec], opts: &Options) -> Vec<SimResult> {
+        let first = specs[0];
+        debug_assert!(specs.iter().all(|s| s.group() == first.group()));
+        let g = first.graph.of(world);
+        let atlas = Arc::clone(self.atlas(world, first.graph, opts));
+        let cp = first.cp_x.unwrap_or(opts.cp_fraction);
         let w = self
             .weights
-            .entry((spec.graph, cp.to_bits()))
+            .entry((first.graph, cp.to_bits()))
             .or_insert_with(|| Weights::with_cp_fraction(g, cp));
         let cfg = SimConfig {
-            theta: spec.theta,
             tree_policy: TreePolicy {
-                stubs_prefer_secure: spec.stubs_prefer_secure,
+                stubs_prefer_secure: first.stubs_prefer_secure,
             },
             ..case_study_config(opts)
         };
-        let seeds = spec.adopters.select(g);
+        let cells: Vec<Cell> = specs
+            .iter()
+            .map(|s| Cell {
+                early_adopters: s.adopters.select(g),
+                theta: s.theta,
+            })
+            .collect();
         Simulation::new(g, w, &TIEBREAK, cfg)
-            .with_shared_atlas(Arc::clone(atlas))
-            .run(&seeds)
+            .with_shared_atlas(atlas)
+            .run_cells(&cells)
     }
 }
 
 /// Run `cmd`'s grid: open its checkpoint, hand every unit it lacks to
 /// the worker fleet (if any), compute whatever is still missing here,
-/// and pass each unit's result to `row` in grid order. No result
-/// outlives its call to `row`.
+/// and pass each unit's result to `row` in grid order, with the runner
+/// for rows that need the resident atlas.
+///
+/// A missing unit is computed together with every other missing unit
+/// of its group (same graph, CP share and stub policy) in one branching
+/// call, the first time one of them is due. The grids are graph-major,
+/// so one atlas stays resident at a time; a group's results wait only
+/// until their turn in grid order.
 fn sweep(
     cmd: &str,
     opts: &Options,
-    mut row: impl FnMut(&World, &UnitSpec, &SimResult),
+    mut row: impl FnMut(&World, &UnitSpec, &SimResult, &mut UnitRunner),
 ) -> Result<(), ExperimentError> {
     let grid = crate::commands::find(cmd)
         .and_then(|c| c.grid)
@@ -227,9 +277,21 @@ fn sweep(
     let mut runner = SweepRunner::open(cmd, opts)?;
     crate::shards::prefetch(cmd, opts, &units, &mut runner)?;
     let mut compute = UnitRunner::default();
+    let mut ready: HashMap<&str, SimResult> = HashMap::new();
     for (key, spec) in &units {
-        let res = runner.run(key.clone(), || compute.run(&world, spec, opts))?;
-        row(&world, spec, &res);
+        if runner.get(key).is_none() && !ready.contains_key(key.as_str()) {
+            let group: Vec<&(String, UnitSpec)> = units
+                .iter()
+                .filter(|(k, s)| s.group() == spec.group() && runner.get(k).is_none())
+                .collect();
+            let specs: Vec<&UnitSpec> = group.iter().map(|(_, s)| s).collect();
+            let results = compute.run_group(&world, &specs, opts);
+            ready.extend(group.iter().map(|(k, _)| k.as_str()).zip(results));
+        }
+        let res = runner.run(key.clone(), || {
+            ready.remove(key.as_str()).expect("computed with its group")
+        })?;
+        row(&world, spec, &res, &mut compute);
     }
     runner.finish()
 }
@@ -247,7 +309,7 @@ pub fn fig8(opts: &Options) -> Result<(), ExperimentError> {
     let mut ta = Table::new("fig8a_ases", &columns);
     let mut tb = Table::new("fig8b_isps", &columns);
     let (mut row_a, mut row_b) = (Vec::new(), Vec::new());
-    sweep("fig8", opts, |world, unit, res| {
+    sweep("fig8", opts, |world, unit, res, _| {
         let g = world.base();
         if row_a.is_empty() {
             row_a.push(unit.adopters.label());
@@ -282,17 +344,29 @@ pub fn fig9(opts: &Options) -> Result<(), ExperimentError> {
             "f^2",
         ],
     );
-    sweep("fig9", opts, |world, unit, res| {
+    // Cells often end in the same state; measure each state once,
+    // reading route contexts from the resident atlas.
+    let mut measured: Vec<(SecureSet, f64)> = Vec::new();
+    sweep("fig9", opts, |world, unit, res, compute| {
         let g = world.base();
         let f = res.secure_as_fraction(g);
-        let frac = metrics::secure_path_fraction(
-            g,
-            &res.final_state,
-            TreePolicy {
-                stubs_prefer_secure: true,
-            },
-            &TIEBREAK,
-        );
+        let frac = match measured.iter().find(|(s, _)| *s == res.final_state) {
+            Some(&(_, frac)) => frac,
+            None => {
+                let atlas = compute.atlas(world, unit.graph, opts);
+                let frac = metrics::secure_path_fraction_in(
+                    g,
+                    &res.final_state,
+                    TreePolicy {
+                        stubs_prefer_secure: true,
+                    },
+                    &TIEBREAK,
+                    atlas,
+                );
+                measured.push((res.final_state.clone(), frac));
+                frac
+            }
+        };
         t.row(vec![
             unit.adopters.label(),
             format!("{}", unit.theta),
@@ -321,7 +395,7 @@ pub fn fig11(opts: &Options) -> Result<(), ExperimentError> {
     );
     // Each cell's "prefer" unit comes right before its "ignore" twin.
     let mut prefer = None;
-    sweep("fig11", opts, |world, unit, res| {
+    sweep("fig11", opts, |world, unit, res, _| {
         let f = res.secure_as_fraction(world.base());
         if unit.stubs_prefer_secure {
             prefer = Some(f);
@@ -348,7 +422,7 @@ pub fn fig12(opts: &Options) -> Result<(), ExperimentError> {
         "fig12_cp_vs_tier1",
         &["graph", "x", "early adopters", "theta", "secure ASes"],
     );
-    sweep("fig12", opts, |world, unit, res| {
+    sweep("fig12", opts, |world, unit, res, _| {
         t.row(vec![
             unit.graph.label().to_string(),
             format!("{}", unit.cp_x.expect("figure 12 units set the CP share")),

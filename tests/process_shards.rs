@@ -56,28 +56,49 @@ fn engine_lines(stdout: &str) -> Vec<&str> {
         .collect()
 }
 
+/// The pass count of an `[engine] N passes: …` summary.
+fn passes(lines: &[&str]) -> u64 {
+    lines
+        .iter()
+        .find_map(|l| l.strip_prefix("[engine] ")?.split_once(" passes:"))
+        .and_then(|(n, _)| n.parse().ok())
+        .expect("an [engine] pass-count line")
+}
+
 #[test]
 fn sharded_sweep_is_byte_identical_to_single_process() {
     let single = tmp("single");
+    let one = tmp("one-shard");
     let sharded = tmp("sharded");
     let (out_single, _) = fig9("150", &single, &[]);
+    let (out_one, _) = fig9("150", &one, &["--process-shards", "1"]);
     let (out_sharded, err) = fig9("150", &sharded, &["--process-shards", "4"]);
     assert_eq!(csv(&single), csv(&sharded), "CSV diverged across shards");
+    assert_eq!(csv(&single), csv(&one), "CSV diverged on one shard");
     assert!(
         err.contains("across 4 worker process(es)"),
         "supervisor did not dispatch: {err}"
     );
-    // Engine counters are sums over the same units in both modes, so
-    // the summary lines must match exactly — proving the stats frames
-    // carried every counter across the process boundary.
-    let want = engine_lines(&out_single);
-    assert!(!want.is_empty(), "no [engine] summary in single mode");
+    // Workers compute one unit per call, so engine counters are sums
+    // over the same one-cell runs at any shard count: the summary lines
+    // must match exactly, proving the stats frames carried every
+    // counter across the process boundary.
+    let want = engine_lines(&out_one);
+    assert!(!want.is_empty(), "no [engine] summary with one shard");
     assert_eq!(
         want,
         engine_lines(&out_sharded),
         "engine counters lost or distorted in sharded mode"
     );
+    // In-process, each group of units runs as one branching trajectory
+    // and shares its engine passes.
+    let inproc = engine_lines(&out_single);
+    assert!(
+        passes(&inproc) < passes(&want),
+        "branching saved no passes: {inproc:?} vs {want:?}"
+    );
     let _ = std::fs::remove_dir_all(&single);
+    let _ = std::fs::remove_dir_all(&one);
     let _ = std::fs::remove_dir_all(&sharded);
 }
 

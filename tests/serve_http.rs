@@ -357,6 +357,7 @@ fn requests_that_run_no_job_answer_in_milliseconds() {
         Some("1"),
         "{stats}"
     );
+    let wakeups = field(&stats, "executor_wakeups").expect("executor_wakeups in /stats");
 
     let cached: Vec<Duration> = (0..20)
         .map(|_| {
@@ -372,6 +373,13 @@ fn requests_that_run_no_job_answer_in_milliseconds() {
         .collect();
     let ms = median_ms(cached);
     assert!(ms < 20.0, "median cached POST + GET result took {ms:.1} ms");
+    // A cached resubmit changes nothing the executor waits on.
+    let (_, _, stats) = http(&d.addr, "GET", "/stats", "");
+    assert_eq!(
+        field(&stats, "executor_wakeups"),
+        Some(wakeups),
+        "cached resubmits woke the executor: {stats}"
+    );
 
     // An idle executor sleeps on the board's condvar; only the drain's
     // notify can end that sleep.
