@@ -636,11 +636,45 @@ fn decode_record(
 /// the 16-hex-digit IEEE-754 bit pattern, every string as hex-encoded
 /// UTF-8, so decode(encode(x)) == x exactly.
 pub mod codec {
-    use crate::engine::{QuarantinedTask, SelfCheckViolation, TaskFault};
+    use crate::engine::SelfCheckViolation;
     use crate::sim::{Outcome, RoundRecord, SimResult};
     use sbgp_asgraph::AsId;
     use sbgp_routing::SecureSet;
     use std::fmt::Write as _;
+
+    /// Why a destination task was left out of a run's totals. No run
+    /// leaves one out; the codec keeps the record so that checkpoints
+    /// and frames which carry one decode bit-exactly.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum TaskFault {
+        /// The task panicked on every attempt.
+        Panic,
+        /// The task overran its per-destination deadline.
+        TimedOut,
+    }
+
+    impl std::fmt::Display for TaskFault {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            match self {
+                TaskFault::Panic => f.write_str("panic"),
+                TaskFault::TimedOut => f.write_str("timeout"),
+            }
+        }
+    }
+
+    /// A destination task left out of a run's totals (see
+    /// [`TaskFault`]); codec data only.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct QuarantinedTask {
+        /// The destination left out.
+        pub dest: AsId,
+        /// How many times the task was attempted.
+        pub attempts: u32,
+        /// Why it was left out.
+        pub kind: TaskFault,
+        /// The final attempt's panic or overrun, as text.
+        pub message: String,
+    }
 
     /// A decode failure: 1-based line and description.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1124,11 +1158,11 @@ pub mod codec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ChaosPlan, SimConfig};
+    use crate::config::SimConfig;
     use crate::early::EarlyAdopters;
     use crate::sim::Simulation;
     use sbgp_asgraph::gen::{generate, GenParams};
-    use sbgp_asgraph::Weights;
+    use sbgp_asgraph::{AsId, Weights};
     use sbgp_routing::HashTieBreak;
 
     const JOURNAL: &str = "sweep.journal";
@@ -1140,13 +1174,11 @@ mod tests {
         Store::localdisk(dir)
     }
 
-    fn sample_result(seed: u64, chaos: Option<ChaosPlan>) -> SimResult {
+    fn sample_result(seed: u64) -> SimResult {
         let g = generate(&GenParams::new(120, seed)).graph;
         let w = Weights::with_cp_fraction(&g, 0.10);
         let cfg = SimConfig {
             theta: 0.05,
-            max_task_retries: 0,
-            chaos,
             ..SimConfig::default()
         };
         let adopters = EarlyAdopters::ContentProvidersPlusTopIsps(5).select(&g);
@@ -1155,21 +1187,43 @@ mod tests {
 
     #[test]
     fn codec_round_trips_bit_exactly() {
-        for chaos in [
-            None,
-            Some(ChaosPlan {
-                dest: 7,
-                fail_attempts: u32::MAX,
-                ..ChaosPlan::default()
-            }),
-        ] {
-            let r = sample_result(42, chaos);
+        use codec::{QuarantinedTask, TaskFault};
+        let fresh = sample_result(42);
+        // An engine run encodes the constant fields as they always
+        // were for a healthy run: the bits of 1.0 and empty lists.
+        let mut fresh_text = String::new();
+        codec::encode_result(&mut fresh_text, &fresh);
+        assert!(fresh_text.contains("\ncompleteness 3ff0000000000000\nquarantined 0\n"));
+        assert!(fresh_text.ends_with("\ndeadline_skipped 0\n"));
+        // A result as older runs wrote it, with destinations left out,
+        // must still decode bit-exactly.
+        let old = SimResult {
+            completeness: 0.75,
+            quarantined: vec![
+                QuarantinedTask {
+                    dest: AsId(7),
+                    attempts: 2,
+                    kind: TaskFault::Panic,
+                    message: "index out of bounds".into(),
+                },
+                QuarantinedTask {
+                    dest: AsId(9),
+                    attempts: 1,
+                    kind: TaskFault::TimedOut,
+                    message: "destination task exceeded soft deadline".into(),
+                },
+            ],
+            deadline_skipped: vec![AsId(11), AsId(40)],
+            ..sample_result(43)
+        };
+        for r in [fresh, old] {
             let mut text = String::new();
             codec::encode_result(&mut text, &r);
             let mut p = codec::Parser::new(&text);
             let back = codec::decode_result(&mut p).unwrap();
             assert_eq!(back, r);
             // Bit-exact, not just PartialEq-equal.
+            assert_eq!(back.completeness.to_bits(), r.completeness.to_bits());
             for (a, b) in r
                 .starting_utilities
                 .iter()
@@ -1177,6 +1231,9 @@ mod tests {
             {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
+            let mut again = String::new();
+            codec::encode_result(&mut again, &back);
+            assert_eq!(again, text, "re-encoding changes no byte");
         }
     }
 
@@ -1185,8 +1242,8 @@ mod tests {
         let store = disk("roundtrip");
         let fp = params_fingerprint(&["ases=120", "seed=42"]);
         let mut ckpt = SweepCheckpoint::new(fp);
-        ckpt.insert("theta=0.05", sample_result(42, None));
-        ckpt.insert("theta=0.10", sample_result(43, None));
+        ckpt.insert("theta=0.05", sample_result(42));
+        ckpt.insert("theta=0.10", sample_result(43));
         ckpt.save_to(&store, "sweep.ckpt").unwrap();
         let back = SweepCheckpoint::load_from(&store, "sweep.ckpt", fp).unwrap();
         assert_eq!(back, ckpt);
@@ -1198,7 +1255,7 @@ mod tests {
     fn params_mismatch_is_refused() {
         let store = disk("mismatch");
         let mut ckpt = SweepCheckpoint::new(1);
-        ckpt.insert("unit", sample_result(42, None));
+        ckpt.insert("unit", sample_result(42));
         ckpt.save_to(&store, "sweep.ckpt").unwrap();
         match SweepCheckpoint::load_from(&store, "sweep.ckpt", 2) {
             Err(CheckpointError::ParamsMismatch {
@@ -1233,8 +1290,8 @@ mod tests {
     #[test]
     fn journal_append_replay_round_trip() {
         let store = disk("journal_roundtrip");
-        let r1 = sample_result(42, None);
-        let r2 = sample_result(43, None);
+        let r1 = sample_result(42);
+        let r2 = sample_result(43);
         {
             let mut j = UnitJournal::open_in(&store, JOURNAL).unwrap();
             j.append("theta=0.05", &r1).unwrap();
@@ -1256,13 +1313,13 @@ mod tests {
     fn journal_reset_empties_the_file() {
         let store = disk("journal_reset");
         let mut j = UnitJournal::open_in(&store, JOURNAL).unwrap();
-        j.append("a", &sample_result(42, None)).unwrap();
+        j.append("a", &sample_result(42)).unwrap();
         j.reset().unwrap();
         let (units, report) = UnitJournal::replay_in(&store, JOURNAL).unwrap();
         assert!(units.is_empty());
         assert!(report.is_clean());
         // Appends keep working after a reset.
-        j.append("b", &sample_result(43, None)).unwrap();
+        j.append("b", &sample_result(43)).unwrap();
         let (units, _) = UnitJournal::replay_in(&store, JOURNAL).unwrap();
         assert_eq!(units.len(), 1);
         assert_eq!(units[0].0, "b");
@@ -1273,8 +1330,8 @@ mod tests {
         let store = disk("journal_torn");
         {
             let mut j = UnitJournal::open_in(&store, JOURNAL).unwrap();
-            j.append("good", &sample_result(42, None)).unwrap();
-            j.append("doomed", &sample_result(43, None)).unwrap();
+            j.append("good", &sample_result(42)).unwrap();
+            j.append("doomed", &sample_result(43)).unwrap();
         }
         let full = store.get(JOURNAL).unwrap().unwrap();
         let (_, clean) = UnitJournal::replay_in(&store, JOURNAL).unwrap();
@@ -1302,7 +1359,7 @@ mod tests {
             let mut j = UnitJournal::open_in(&store, JOURNAL).unwrap();
             j.append_lease("theta=0.05", "127.0.0.1:9001").unwrap();
             j.append_lease("theta=0.10", "process 4242").unwrap();
-            j.append("theta=0.05", &sample_result(42, None)).unwrap();
+            j.append("theta=0.05", &sample_result(42)).unwrap();
             // Re-lease after a requeue: a second lease on the same key
             // updates the holder rather than duplicating the entry.
             j.append_lease("theta=0.10", "127.0.0.1:9002").unwrap();

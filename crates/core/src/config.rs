@@ -52,42 +52,6 @@ pub enum Activation {
     RoundRobin,
 }
 
-/// Deterministic fault injection for exercising the engine's
-/// panic-isolation path.
-///
-/// Production runs leave [`SimConfig::chaos`] as `None`; tests set a
-/// plan to poison one per-destination task and observe either recovery
-/// (when the retry budget covers `fail_attempts`) or quarantine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChaosPlan {
-    /// Node id of the destination task to poison.
-    pub dest: u32,
-    /// How many leading attempts of that task panic. With
-    /// `fail_attempts <= max_task_retries` the task recovers on retry;
-    /// larger values exhaust the budget and quarantine it.
-    pub fail_attempts: u32,
-    /// Instead of (or in addition to) panicking, silently corrupt the
-    /// destination's base routing tree after it is computed — the
-    /// failure mode `--self-check` exists to catch. The corruption
-    /// flips one node's next hop to a different (legal) tiebreak-set
-    /// member, which the differential checker must flag as a
-    /// [`NextHop`](sbgp_routing::diffcheck::MismatchKind::NextHop)
-    /// mismatch.
-    pub corrupt_tree: bool,
-}
-
-impl Default for ChaosPlan {
-    /// A plan that injects nothing: no destination matches `dest`
-    /// attempts (`fail_attempts == 0`) and no corruption.
-    fn default() -> Self {
-        ChaosPlan {
-            dest: u32::MAX,
-            fail_attempts: 0,
-            corrupt_tree: false,
-        }
-    }
-}
-
 /// Parameters of a deployment simulation.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
@@ -116,12 +80,6 @@ pub struct SimConfig {
     pub theta_seed: u64,
     /// Whether ISPs move simultaneously (the paper) or one at a time.
     pub activation: Activation,
-    /// How many times a panicking per-destination task is retried
-    /// before it is quarantined and the round proceeds without it
-    /// (a task runs at most `1 + max_task_retries` times).
-    pub max_task_retries: u32,
-    /// Optional deterministic fault injection (see [`ChaosPlan`]).
-    pub chaos: Option<ChaosPlan>,
     /// Differential self-checking rate: the fraction of destinations
     /// whose computed routing tree is replayed through the reference
     /// oracle ([`sbgp_routing::diffcheck`]). `0.0` (the default)
@@ -129,17 +87,6 @@ pub struct SimConfig {
     /// a deterministic hash of the destination id, so the audited set
     /// is identical across runs and thread counts.
     pub self_check: f64,
-    /// Soft per-destination deadline: a task whose successful attempt
-    /// took longer than this is quarantined as
-    /// [`TaskFault::TimedOut`](crate::TaskFault::TimedOut) and its
-    /// contributions are discarded, converting a runaway destination
-    /// into an honest completeness loss instead of a hung sweep.
-    pub task_deadline: Option<std::time::Duration>,
-    /// Global wall-clock budget: once this instant passes, workers stop
-    /// starting new destination tasks and report the remainder as
-    /// deadline-skipped, degrading gracefully to a destination sample
-    /// with an explicit completeness fraction.
-    pub deadline: Option<std::time::Instant>,
     /// Memory budget, in MiB, for the frozen-context
     /// [`RoutingAtlas`](sbgp_routing::RoutingAtlas) (Observation C.1).
     /// Destinations that fit are computed once per simulation and read
@@ -165,11 +112,7 @@ impl Default for SimConfig {
             theta_jitter: 0.0,
             theta_seed: 0,
             activation: Activation::Simultaneous,
-            max_task_retries: 1,
-            chaos: None,
             self_check: 0.0,
-            task_deadline: None,
-            deadline: None,
             ctx_cache_mb: 256,
             delta_projections: DeltaMode::Auto,
         }

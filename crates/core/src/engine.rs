@@ -46,19 +46,18 @@
 //! floating-point reductions are bit-identical for every thread count
 //! (including the serial path).
 //!
-//! # Fault tolerance
+//! # Failure
 //!
-//! Each per-destination task runs inside `catch_unwind`. A task's
-//! contributions are journaled (a sparse contribution list plus a
-//! pending delta list) and committed only after the task returns, so a
-//! panic mid-task cannot leave half a destination's utility in the
-//! totals. A panicking task is retried up to
-//! [`SimConfig::max_task_retries`] times — the worker's flipped-state
-//! scratch is repaired from the round state first — and, if it keeps
-//! panicking, it is quarantined: the round completes without that
-//! destination and the [`RoundComputation`] reports the
-//! [`QuarantinedTask`] alongside an explicit completeness fraction,
-//! instead of one poisoned destination aborting the whole sweep.
+//! A round is a function of `(graph, atlas, state)`, and every
+//! utility sums over *every* destination, so a round without one
+//! destination is a different game. The engine therefore has no
+//! failure path of its own: a panicking destination task (a guard
+//! violation, a bug) fails the pass. The serial path re-raises the
+//! task's own panic; the pool's committer panics naming the lowest
+//! destination whose task died. Recovery lives where real faults
+//! happen — the supervisor restarts dead shard workers, the checkpoint
+//! journal survives killed processes, and `repro serve` parks a job
+//! that panics twice.
 
 use crate::config::{DeltaMode, SimConfig};
 use crate::guard;
@@ -93,42 +92,6 @@ enum CandKind {
     TurnOn,
     /// Secure ISP evaluating disabling (incoming model only).
     TurnOff,
-}
-
-/// Why a per-destination task was quarantined.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TaskFault {
-    /// The task panicked on every attempt (retry budget exhausted).
-    Panic,
-    /// The task completed, but its successful attempt exceeded the
-    /// [`SimConfig::task_deadline`] soft deadline; its contributions
-    /// were discarded.
-    TimedOut,
-}
-
-impl std::fmt::Display for TaskFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TaskFault::Panic => f.write_str("panic"),
-            TaskFault::TimedOut => f.write_str("timeout"),
-        }
-    }
-}
-
-/// A per-destination task that was excluded from the round's totals —
-/// either it kept panicking after every retry, or it blew its soft
-/// deadline.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QuarantinedTask {
-    /// The destination whose task was poisoned.
-    pub dest: AsId,
-    /// How many times the task was attempted (1 + retries).
-    pub attempts: u32,
-    /// Why the task was quarantined.
-    pub kind: TaskFault,
-    /// The panic payload of the final attempt (or the deadline
-    /// overshoot), stringified.
-    pub message: String,
 }
 
 /// A recorded disagreement between the fast routing pipeline and the
@@ -176,23 +139,12 @@ pub struct RoundComputation {
     pub proj_out: Vec<f64>,
     /// `u_n(¬S_n, S_−n)` per node, incoming model.
     pub proj_in: Vec<f64>,
-    /// Destination tasks that exhausted their retry budget or blew
-    /// their soft deadline, ascending by destination id; empty on a
-    /// healthy round.
-    pub quarantined: Vec<QuarantinedTask>,
-    /// Destinations never attempted because the global
-    /// [`SimConfig::deadline`] passed, ascending by id.
-    pub deadline_skipped: Vec<AsId>,
     /// How many destinations the `--self-check` differential audit
     /// replayed through the oracle this round.
     pub audited: usize,
     /// Divergences the differential audit found, ascending by
-    /// destination id; empty unless the fast pipeline is buggy (or
-    /// chaos corruption is injected).
+    /// destination id; empty unless the fast pipeline is buggy.
     pub violations: Vec<SelfCheckViolation>,
-    /// Fraction of per-destination tasks whose contributions made it
-    /// into the totals (`1.0` on a healthy round).
-    pub completeness: f64,
 }
 
 impl RoundComputation {
@@ -381,20 +333,11 @@ struct RoundSpec<'s> {
 }
 
 /// What one destination task produced, streamed back to the committer.
-enum TaskBody {
-    /// The task completed; its journaled contributions are ready to
-    /// commit.
-    Done {
-        contrib: Arc<Contrib>,
-        pending: Vec<(u32, f64, f64)>,
-        audited: usize,
-        violations: Vec<SelfCheckViolation>,
-    },
-    /// Retry budget exhausted or soft deadline blown; contributes
-    /// nothing.
-    Quarantined(QuarantinedTask),
-    /// Never attempted: the global deadline passed first.
-    Skipped,
+struct TaskBody {
+    contrib: Arc<Contrib>,
+    pending: Vec<(u32, f64, f64)>,
+    audited: usize,
+    violations: Vec<SelfCheckViolation>,
 }
 
 /// One streamed task result.
@@ -447,16 +390,16 @@ struct TaskBufs {
     delta: DeltaScratch,
     // Whether `base_tree`/`base_flow` describe the current destination
     // in the current state, making the delta path sound. Cleared on
-    // the cache-reuse path (stale buffers) and under tree-corrupting
-    // chaos (the delta would faithfully extend the corruption, but
-    // the full path would not — they must stay comparable).
+    // the cache-reuse path (stale buffers) and for a planted corrupt
+    // tree in tests (the delta would faithfully extend the corruption,
+    // but the full path would not — they must stay comparable).
     delta_ok: bool,
-    // Journal of candidate deltas from the in-flight destination task:
-    // `(candidate index, Δout, Δin)`. Handed to the committer only
-    // once the task completes without panicking.
+    // Candidate deltas from the in-flight destination task:
+    // `(candidate index, Δout, Δin)`, handed to the committer when the
+    // task returns.
     pending: Vec<(u32, f64, f64)>,
-    // Journaled self-check results from the in-flight task, committed
-    // alongside `pending` so a retried attempt never double-counts.
+    // Self-check results from the in-flight task, handed over with
+    // `pending`.
     pending_audits: usize,
     pending_violations: Vec<SelfCheckViolation>,
 }
@@ -495,8 +438,6 @@ struct RoundAccum {
     base_in: Vec<f64>,
     delta_out: Vec<f64>,
     delta_in: Vec<f64>,
-    quarantined: Vec<QuarantinedTask>,
-    deadline_skipped: Vec<AsId>,
     audited: usize,
     violations: Vec<SelfCheckViolation>,
 }
@@ -508,46 +449,26 @@ impl RoundAccum {
             base_in: vec![0.0; n],
             delta_out: vec![0.0; n],
             delta_in: vec![0.0; n],
-            quarantined: Vec::new(),
-            deadline_skipped: Vec::new(),
             audited: 0,
             violations: Vec::new(),
         }
     }
 
-    fn apply(&mut self, dest: u32, body: TaskBody) {
-        match body {
-            TaskBody::Done {
-                contrib,
-                pending,
-                audited,
-                violations,
-            } => {
-                for &(x, o, i) in contrib.iter() {
-                    self.base_out[x as usize] += o;
-                    self.base_in[x as usize] += i;
-                }
-                for &(c, o, i) in &pending {
-                    self.delta_out[c as usize] += o;
-                    self.delta_in[c as usize] += i;
-                }
-                self.audited += audited;
-                self.violations.extend(violations);
-            }
-            TaskBody::Quarantined(q) => self.quarantined.push(q),
-            TaskBody::Skipped => self.deadline_skipped.push(AsId(dest)),
+    fn apply(&mut self, body: TaskBody) {
+        for &(x, o, i) in body.contrib.iter() {
+            self.base_out[x as usize] += o;
+            self.base_in[x as usize] += i;
         }
+        for &(c, o, i) in &body.pending {
+            self.delta_out[c as usize] += o;
+            self.delta_in[c as usize] += i;
+        }
+        self.audited += body.audited;
+        self.violations.extend(body.violations);
     }
 
     fn finish(mut self, n: usize) -> RoundComputation {
-        self.quarantined.sort_by_key(|q| q.dest);
-        self.deadline_skipped.sort_unstable();
         self.violations.sort_by_key(|v| v.dest);
-        let completeness = if n == 0 {
-            1.0
-        } else {
-            (n - self.quarantined.len() - self.deadline_skipped.len()) as f64 / n as f64
-        };
         // Projected = base + accumulated deltas (skipped destinations
         // contribute zero delta by the C.4 arguments).
         let mut proj_out = self.delta_out;
@@ -561,11 +482,8 @@ impl RoundAccum {
             base_in: self.base_in,
             proj_out,
             proj_in,
-            quarantined: self.quarantined,
-            deadline_skipped: self.deadline_skipped,
             audited: self.audited,
             violations: self.violations,
-            completeness,
         }
     }
 }
@@ -583,52 +501,11 @@ pub struct EnginePool {
     serial: RefCell<Option<Box<Scratch>>>,
 }
 
-/// Chaos helper: corrupt a computed routing tree in a way that is
-/// *export-legal* (the substituted next hop is another tiebreak-set
-/// member, so path lengths and valley-freedom still hold) but wrong —
-/// exactly the class of silent bug only the differential oracle audit
-/// can catch. Falls back to flipping a secure bit if no node has a
-/// choice of next hops.
-fn corrupt_tree_for_chaos<C: RouteContext + ?Sized>(ctx: &C, tree: &mut RouteTree) {
-    for &xi in ctx.order() {
-        let x = AsId(xi);
-        if x == ctx.dest() {
-            continue;
-        }
-        let tb = ctx.tiebreak_set(x);
-        if tb.len() >= 2 {
-            let cur = tree.next_hop[x.index()];
-            if let Some(&other) = tb.iter().find(|&&m| m != cur) {
-                tree.next_hop[x.index()] = other;
-                return;
-            }
-        }
-    }
-    // Degenerate tree (no tiebreak competition anywhere): corrupt a
-    // security flag instead.
-    if let Some(&xi) = ctx.order().iter().find(|&&xi| AsId(xi) != ctx.dest()) {
-        let i = xi as usize;
-        tree.secure[i] = !tree.secure[i];
-    }
-}
-
 /// Does any member of `x`'s tiebreak set have a fully secure path in
 /// `tree`?
 #[inline]
 fn member_secure<C: RouteContext + ?Sized>(ctx: &C, tree: &RouteTree, x: AsId) -> bool {
     ctx.tiebreak_set(x).iter().any(|&m| tree.secure[m as usize])
-}
-
-/// Render a `catch_unwind` payload as text: the quarantine report's
-/// message, and the serve daemon's record of a panicked job attempt.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// The round-utility engine; holds the immutable inputs shared by all
@@ -653,6 +530,11 @@ pub struct UtilityEngine<'a> {
     /// summaries attribute atlas traffic per figure instead of leaking
     /// earlier figures' counts in.
     atlas_base: (u64, u64),
+    /// A fault planted at one destination, for the tests that prove a
+    /// panic propagates and that the differential audit catches a
+    /// wrong tree.
+    #[cfg(test)]
+    plant: Option<Plant>,
 }
 
 impl<'a> UtilityEngine<'a> {
@@ -714,13 +596,9 @@ impl<'a> UtilityEngine<'a> {
                 .collect(),
             stats: StatCells::default(),
             atlas_base: (a.hits, a.misses),
+            #[cfg(test)]
+            plant: None,
         }
-    }
-
-    /// Whether the global wall-clock budget has expired.
-    #[inline]
-    fn past_deadline(&self) -> bool {
-        self.cfg.deadline.is_some_and(|dl| Instant::now() >= dl)
     }
 
     /// The configuration this engine runs under.
@@ -871,12 +749,7 @@ impl<'a> UtilityEngine<'a> {
                     skip_rules,
                 };
                 for di in 0..n as u32 {
-                    let body = if self.past_deadline() {
-                        TaskBody::Skipped
-                    } else {
-                        self.run_dest_isolated(AsId(di), state, spec, sc)
-                    };
-                    acc.apply(di, body);
+                    acc.apply(self.run_dest(AsId(di), state, spec, sc));
                 }
             }
             job_txs => {
@@ -913,12 +786,19 @@ impl<'a> UtilityEngine<'a> {
                 let mut held: BTreeMap<u32, TaskBody> = BTreeMap::new();
                 let mut next_commit = 0u32;
                 for _ in 0..n {
-                    let o = out_rx.recv().expect("engine workers disconnected");
+                    // A worker whose task panics dies without sending,
+                    // and the channel closes once the others finish.
+                    // Every destination below `next_commit` was
+                    // delivered, so `next_commit` is the lowest one
+                    // whose task panicked.
+                    let Ok(o) = out_rx.recv() else {
+                        panic!("engine task for destination {} panicked", AsId(next_commit));
+                    };
                     if o.dest == next_commit {
-                        acc.apply(o.dest, o.body);
+                        acc.apply(o.body);
                         next_commit += 1;
                         while let Some(b) = held.remove(&next_commit) {
-                            acc.apply(next_commit, b);
+                            acc.apply(b);
                             next_commit += 1;
                         }
                     } else {
@@ -955,12 +835,7 @@ impl<'a> UtilityEngine<'a> {
             }
             let end = (start + job.chunk).min(n);
             for di in start..end {
-                let d = AsId(di as u32);
-                let body = if self.past_deadline() {
-                    TaskBody::Skipped
-                } else {
-                    self.run_dest_isolated(d, &job.state, spec, sc)
-                };
+                let body = self.run_dest(AsId(di as u32), &job.state, spec, sc);
                 if job
                     .out
                     .send(DestOutcome {
@@ -975,79 +850,29 @@ impl<'a> UtilityEngine<'a> {
         }
     }
 
-    /// Run one destination task behind a panic boundary.
-    ///
-    /// On success, hands the journaled contributions to the committer.
-    /// On panic, repairs the scratch state and retries up to
-    /// [`SimConfig::max_task_retries`] times; a task that keeps
-    /// panicking is quarantined and contributes nothing.
-    fn run_dest_isolated(
+    /// Run one destination task and hand its contributions to the
+    /// committer.
+    fn run_dest(
         &self,
         d: AsId,
         state: &SecureSet,
         spec: RoundSpec<'_>,
         sc: &mut Scratch,
     ) -> TaskBody {
-        let max_attempts = self.cfg.max_task_retries.saturating_add(1);
-        let mut last_message = String::new();
-        for attempt in 1..=max_attempts {
-            sc.bufs.pending.clear();
-            sc.bufs.pending_audits = 0;
-            sc.bufs.pending_violations.clear();
-            let started = Instant::now();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(chaos) = self.cfg.chaos {
-                    if chaos.dest == d.0 && attempt <= chaos.fail_attempts {
-                        panic!("chaos: injected failure for destination {d} (attempt {attempt})");
-                    }
-                }
-                self.process_dest(d, state, spec, &mut *sc)
-            }));
-            match outcome {
-                Ok((contrib, cacheable)) => {
-                    // Soft deadline: a successful but runaway attempt is
-                    // quarantined instead of committed — retrying would
-                    // only run long again. Checked before the cache
-                    // insert so a quarantined contribution is never
-                    // replayed in later rounds.
-                    if let Some(limit) = self.cfg.task_deadline {
-                        let took = started.elapsed();
-                        if took > limit {
-                            return TaskBody::Quarantined(QuarantinedTask {
-                                dest: d,
-                                attempts: attempt,
-                                kind: TaskFault::TimedOut,
-                                message: format!(
-                                    "destination task exceeded soft deadline: {took:?} > {limit:?}"
-                                ),
-                            });
-                        }
-                    }
-                    if cacheable {
-                        let _ = self.reuse[d.index()].set(Arc::clone(&contrib));
-                    }
-                    return TaskBody::Done {
-                        contrib,
-                        pending: std::mem::take(&mut sc.bufs.pending),
-                        audited: sc.bufs.pending_audits,
-                        violations: std::mem::take(&mut sc.bufs.pending_violations),
-                    };
-                }
-                Err(payload) => {
-                    last_message = panic_message(payload.as_ref());
-                    // A panic inside `project_candidate` can leave
-                    // candidate bits flipped in the scratch state;
-                    // everything else is recomputed per attempt.
-                    sc.bufs.secure.assign(state);
-                }
-            }
+        #[cfg(test)]
+        if let Some(Plant::Panic(at)) = self.plant {
+            assert_ne!(at, d, "planted panic at destination {d}");
         }
-        TaskBody::Quarantined(QuarantinedTask {
-            dest: d,
-            attempts: max_attempts,
-            kind: TaskFault::Panic,
-            message: last_message,
-        })
+        let (contrib, cacheable) = self.process_dest(d, state, spec, sc);
+        if cacheable {
+            let _ = self.reuse[d.index()].set(Arc::clone(&contrib));
+        }
+        TaskBody {
+            contrib,
+            pending: std::mem::take(&mut sc.bufs.pending),
+            audited: std::mem::take(&mut sc.bufs.pending_audits),
+            violations: std::mem::take(&mut sc.bufs.pending_violations),
+        }
     }
 
     /// Process one destination: resolve its frozen context (atlas hit,
@@ -1177,19 +1002,19 @@ impl<'a> UtilityEngine<'a> {
         compute_tree(g, ctx, state, policy, &mut bufs.base_tree);
         self.stats.trees_computed.fetch_add(1, Ordering::Relaxed);
 
-        // Chaos: silently corrupt the freshly computed tree — the
+        // Test plant: silently corrupt the freshly computed tree — the
         // failure mode the differential audit below must catch.
-        if let Some(chaos) = self.cfg.chaos {
-            if chaos.corrupt_tree && chaos.dest == d.0 {
-                corrupt_tree_for_chaos(ctx, &mut bufs.base_tree);
-            }
+        #[cfg(test)]
+        let corrupted = self.plant == Some(Plant::CorruptTree(d));
+        #[cfg(test)]
+        if corrupted {
+            corrupt_tree(ctx, &mut bufs.base_tree);
         }
 
         // Export-legality guard: every extracted path must be GR2-legal
         // and length-consistent. Debug builds check every sampled
         // destination fully; release builds sample nodes too. A
-        // violation panics inside the task boundary, quarantining this
-        // destination.
+        // violation panics, failing the round.
         if guard::should_check(u64::from(d.0)) {
             if let Err(v) = guard::check_path_legality(g, ctx, &bufs.base_tree, GUARD_STRIDE) {
                 panic!("{v}");
@@ -1239,11 +1064,14 @@ impl<'a> UtilityEngine<'a> {
         // kernel repairs against; the reverse tiebreak index is built
         // lazily by the first projection that wants it.
         // Never on the ablation path (it exists to be an independent
-        // oracle) and never for a chaos-corrupted dest (the delta would
-        // faithfully extend the corruption the full recompute repairs).
-        bufs.delta_ok = spec.skip_rules
-            && self.cfg.delta_projections != DeltaMode::Off
-            && !matches!(self.cfg.chaos, Some(c) if c.corrupt_tree && c.dest == d.0);
+        // oracle).
+        bufs.delta_ok = spec.skip_rules && self.cfg.delta_projections != DeltaMode::Off;
+        // Nor for a planted corrupt tree (the delta would faithfully
+        // extend the corruption the full recompute repairs).
+        #[cfg(test)]
+        if corrupted {
+            bufs.delta_ok = false;
+        }
         bufs.deps_ready = false;
         // Sparse, id-ascending snapshot of this destination's base
         // contribution — the unit the committer sums and the C.4-1
@@ -1319,9 +1147,9 @@ impl<'a> UtilityEngine<'a> {
         contrib
     }
 
-    /// Recompute the tree in `cand`'s flipped state and journal the
+    /// Recompute the tree in `cand`'s flipped state and record the
     /// delta of `cand`'s utility contribution (vs. `base`) for the
-    /// current destination (committed by [`Self::run_dest_isolated`]).
+    /// current destination (handed over by [`Self::run_dest`]).
     fn project_candidate<C: RouteContext + ?Sized>(
         &self,
         ctx: &C,
@@ -1410,6 +1238,56 @@ impl<'a> UtilityEngine<'a> {
         for &f in &bufs.flips {
             bufs.secure.set(f, !turning_on);
         }
+    }
+}
+
+/// A fault planted at one destination, so tests can watch a panic
+/// propagate and the differential audit catch a wrong tree.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Plant {
+    /// The destination's task panics.
+    Panic(AsId),
+    /// The destination's base routing tree is corrupted after it is
+    /// computed (see [`corrupt_tree`]).
+    CorruptTree(AsId),
+}
+
+#[cfg(test)]
+impl UtilityEngine<'_> {
+    /// This engine, with `plant` planted.
+    pub(crate) fn planted(self, plant: Option<Plant>) -> Self {
+        UtilityEngine { plant, ..self }
+    }
+}
+
+/// Corrupt a computed routing tree in a way that is *export-legal*
+/// (the substituted next hop is another tiebreak-set member, so path
+/// lengths and valley-freedom still hold) but wrong — exactly the
+/// class of silent bug only the differential oracle audit can catch.
+/// Falls back to flipping a secure bit if no node has a choice of next
+/// hops.
+#[cfg(test)]
+fn corrupt_tree<C: RouteContext + ?Sized>(ctx: &C, tree: &mut RouteTree) {
+    for &xi in ctx.order() {
+        let x = AsId(xi);
+        if x == ctx.dest() {
+            continue;
+        }
+        let tb = ctx.tiebreak_set(x);
+        if tb.len() >= 2 {
+            let cur = tree.next_hop[x.index()];
+            if let Some(&other) = tb.iter().find(|&&m| m != cur) {
+                tree.next_hop[x.index()] = other;
+                return;
+            }
+        }
+    }
+    // Degenerate tree (no tiebreak competition anywhere): corrupt a
+    // security flag instead.
+    if let Some(&xi) = ctx.order().iter().find(|&&xi| AsId(xi) != ctx.dest()) {
+        let i = xi as usize;
+        tree.secure[i] = !tree.secure[i];
     }
 }
 

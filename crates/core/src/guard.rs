@@ -18,9 +18,8 @@
 //!   monotonically and `turned_off` is always empty. Checked every
 //!   round — `O(1)`.
 //!
-//! Guards *panic* on violation (inside the engine's per-destination
-//! panic boundary where applicable, so a violated destination is
-//! quarantined rather than aborting the sweep). The differential
+//! Guards *panic* on violation, failing the run: a violated invariant
+//! means every number the run would print is suspect. The differential
 //! checker ([`sbgp_routing::diffcheck`]) is the complementary
 //! mechanism: it compares against an independent implementation and
 //! records rather than panics.

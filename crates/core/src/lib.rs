@@ -71,11 +71,10 @@ pub mod storage;
 pub mod supervise;
 pub mod turnoff;
 
-pub use config::{Activation, ChaosPlan, DeltaMode, SimConfig, UtilityModel};
+pub use checkpoint::codec::{QuarantinedTask, TaskFault};
+pub use config::{Activation, DeltaMode, SimConfig, UtilityModel};
 pub use early::{greedy_select, EarlyAdopters};
-pub use engine::{
-    panic_message, EnginePool, EngineStats, QuarantinedTask, RoundComputation, SelfCheckViolation,
-    TaskFault, UtilityEngine,
-};
+pub use engine::{EnginePool, EngineStats, RoundComputation, SelfCheckViolation, UtilityEngine};
 pub use sim::{Cell, Outcome, RoundRecord, SimResult, Simulation};
 pub use state::initial_state;
+pub use supervise::panic_message;

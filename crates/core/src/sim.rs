@@ -14,7 +14,7 @@
 //!   whose decision vectors are equal continue together; the others
 //!   split off into branches of their own.
 //! * **Inheritance.** A child branch inherits the `seen` fingerprints,
-//!   the `rounds` prefix and the fault ledger, so every cell's
+//!   the `rounds` prefix and the self-check tally, so every cell's
 //!   [`SimResult`] is `==` to the one it gets when run alone.
 //! * **Round-robin** activation changes the state between movers, so
 //!   its cells never share a branch.
@@ -26,10 +26,9 @@
 //! calls of the same driver, and the oracle the branching is tested
 //! against.
 
+use crate::checkpoint::codec::QuarantinedTask;
 use crate::config::{Activation, SimConfig, UtilityModel};
-use crate::engine::{
-    EnginePool, EngineStats, QuarantinedTask, RoundComputation, SelfCheckViolation, UtilityEngine,
-};
+use crate::engine::{EnginePool, EngineStats, RoundComputation, SelfCheckViolation, UtilityEngine};
 use crate::{guard, state};
 use sbgp_asgraph::{AsGraph, AsId, Weights};
 use sbgp_routing::{RoutingAtlas, SecureSet, TieBreaker};
@@ -100,12 +99,12 @@ pub struct SimResult {
     pub outcome: Outcome,
     /// The seeded early adopters.
     pub early_adopters: Vec<AsId>,
-    /// Worst per-round fraction of destination tasks whose
-    /// contributions made it into the utility totals; `1.0` for a
-    /// fully healthy run (see the engine's fault-tolerance notes).
+    /// Always `1.0`: every round sums over every destination. Kept,
+    /// with [`quarantined`](Self::quarantined) and
+    /// [`deadline_skipped`](Self::deadline_skipped), so the checkpoint
+    /// and frame encodings keep their bytes.
     pub completeness: f64,
-    /// Destination tasks quarantined in any round, deduplicated by
-    /// destination and ascending by id.
+    /// Always empty (see [`completeness`](Self::completeness)).
     pub quarantined: Vec<QuarantinedTask>,
     /// Total differential audits performed across all engine passes
     /// (see [`SimConfig::self_check`]). `0` when self-checking is off.
@@ -115,9 +114,7 @@ pub struct SimResult {
     /// counterexample artifact. Empty means every audit agreed with
     /// the reference oracle.
     pub violations: Vec<SelfCheckViolation>,
-    /// Destinations skipped in some round because the global
-    /// [`SimConfig::deadline`] passed, deduplicated and ascending.
-    /// Their absence is already reflected in [`completeness`](Self::completeness).
+    /// Always empty (see [`completeness`](Self::completeness)).
     pub deadline_skipped: Vec<AsId>,
     /// Engine work counters for the whole run (atlas hits, contexts
     /// computed, destinations reused, per-phase wall time). Excluded
@@ -187,45 +184,20 @@ struct Start {
     cfg: SimConfig,
 }
 
-/// Fault-tolerance ledger: the worst round completeness, every
-/// quarantined or deadline-skipped destination seen along the way, and
-/// the differential-audit tally.
-#[derive(Clone)]
+/// The differential-audit tally: audits run, and the violations
+/// found, one per destination.
+#[derive(Clone, Default)]
 struct Ledger {
-    completeness: f64,
-    quarantined: Vec<QuarantinedTask>,
     self_checked: usize,
     violations: Vec<SelfCheckViolation>,
-    deadline_skipped: Vec<AsId>,
 }
 
 impl Ledger {
-    fn new() -> Self {
-        Ledger {
-            completeness: 1.0,
-            quarantined: Vec::new(),
-            self_checked: 0,
-            violations: Vec::new(),
-            deadline_skipped: Vec::new(),
-        }
-    }
-
     fn absorb(&mut self, comp: &RoundComputation) {
-        self.completeness = self.completeness.min(comp.completeness);
-        for q in &comp.quarantined {
-            if !self.quarantined.iter().any(|e| e.dest == q.dest) {
-                self.quarantined.push(q.clone());
-            }
-        }
         self.self_checked += comp.audited;
         for v in &comp.violations {
             if !self.violations.iter().any(|e| e.dest == v.dest) {
                 self.violations.push(v.clone());
-            }
-        }
-        for &d in &comp.deadline_skipped {
-            if !self.deadline_skipped.contains(&d) {
-                self.deadline_skipped.push(d);
             }
         }
     }
@@ -274,6 +246,8 @@ pub struct Simulation<'a> {
     tiebreaker: &'a dyn TieBreaker,
     cfg: SimConfig,
     atlas: Option<Arc<RoutingAtlas>>,
+    #[cfg(test)]
+    plant: Option<crate::engine::Plant>,
 }
 
 impl<'a> Simulation<'a> {
@@ -290,6 +264,8 @@ impl<'a> Simulation<'a> {
             tiebreaker,
             cfg,
             atlas: None,
+            #[cfg(test)]
+            plant: None,
         }
     }
 
@@ -377,6 +353,8 @@ impl<'a> Simulation<'a> {
             ),
             None => UtilityEngine::new(g, self.weights, self.tiebreaker, self.cfg),
         };
+        #[cfg(test)]
+        let engine = engine.planted(self.plant);
         let model = self.cfg.model;
         let mut charged = vec![EngineStats::default(); starts.len()];
         let mut results: Vec<Option<SimResult>> = vec![None; starts.len()];
@@ -391,7 +369,7 @@ impl<'a> Simulation<'a> {
             // destinations that have since become secure.
             let insecure = SecureSet::new(g.len());
             let starting = pass(&engine, pool, &insecure, &[], &mut charged[0]);
-            let mut root_ledger = Ledger::new();
+            let mut root_ledger = Ledger::default();
             root_ledger.absorb(&starting);
             let starting_utilities = match model {
                 UtilityModel::Outgoing => starting.base_out,
@@ -424,9 +402,7 @@ impl<'a> Simulation<'a> {
                     mut ledger,
                     ..
                 } = b;
-                ledger.quarantined.sort_by_key(|q| q.dest);
                 ledger.violations.sort_by_key(|v| v.dest);
-                ledger.deadline_skipped.sort_unstable();
                 for (k, &c) in cells.iter().enumerate() {
                     // The last cell takes the trajectory; the others copy it.
                     let rounds = if k + 1 == cells.len() {
@@ -441,11 +417,11 @@ impl<'a> Simulation<'a> {
                         final_state: state.clone(),
                         outcome,
                         early_adopters: starts[c].early_adopters.clone(),
-                        completeness: ledger.completeness,
-                        quarantined: ledger.quarantined.clone(),
+                        completeness: 1.0,
+                        quarantined: Vec::new(),
                         self_checked: ledger.self_checked,
                         violations: ledger.violations.clone(),
-                        deadline_skipped: ledger.deadline_skipped.clone(),
+                        deadline_skipped: Vec::new(),
                         stats: EngineStats::default(),
                     });
                 }
@@ -663,6 +639,7 @@ impl<'a> Simulation<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Plant;
     use sbgp_asgraph::AsGraphBuilder;
     use sbgp_routing::LowestAsnTieBreak;
 
@@ -776,86 +753,30 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_destination_degrades_to_partial_result() {
-        use crate::config::ChaosPlan;
+    fn planted_panic_fails_the_run_naming_its_destination() {
+        // A destination task that panics has no retry and no partial
+        // result: the run fails, at any thread count, and says which
+        // destination it was. It must fail, not hang waiting for the
+        // missing task.
         let (g, t, _, _) = diamond_world();
         let w = Weights::uniform(&g);
         let tb = LowestAsnTieBreak;
-        let clean = Simulation::new(&g, &w, &tb, SimConfig::default()).run(&[t]);
-        assert_eq!(clean.completeness, 1.0);
-        assert!(clean.quarantined.is_empty());
-
-        // Poison one destination task beyond the retry budget: the
-        // run must still complete, with an explicit partial result.
-        let cfg = SimConfig {
-            max_task_retries: 1,
-            chaos: Some(ChaosPlan {
-                dest: 3, // the multihomed stub
-                fail_attempts: u32::MAX,
-                ..ChaosPlan::default()
-            }),
-            ..SimConfig::default()
-        };
-        let res = Simulation::new(&g, &w, &tb, cfg).run(&[t]);
-        assert!(res.completeness < 1.0);
-        assert!((res.completeness - (g.len() - 1) as f64 / g.len() as f64).abs() < 1e-12);
-        assert_eq!(res.quarantined.len(), 1, "one destination quarantined once");
-        let q = &res.quarantined[0];
-        assert_eq!(q.dest, AsId(3));
-        assert_eq!(q.attempts, 2, "1 try + 1 retry");
-        assert!(
-            q.message.contains("chaos"),
-            "payload captured: {}",
-            q.message
-        );
-        // The rest of the world still got simulated.
-        assert!(!res.rounds.is_empty());
-    }
-
-    #[test]
-    fn poisoned_destination_is_isolated_across_threads() {
-        use crate::config::ChaosPlan;
-        let (g, t, _, _) = diamond_world();
-        let w = Weights::uniform(&g);
-        let tb = LowestAsnTieBreak;
-        let cfg = SimConfig {
-            threads: 3,
-            max_task_retries: 0,
-            chaos: Some(ChaosPlan {
-                dest: 0,
-                fail_attempts: u32::MAX,
-                ..ChaosPlan::default()
-            }),
-            ..SimConfig::default()
-        };
-        let res = Simulation::new(&g, &w, &tb, cfg).run(&[t]);
-        assert!(res.completeness < 1.0);
-        assert_eq!(res.quarantined.len(), 1);
-        assert_eq!(res.quarantined[0].attempts, 1, "retries disabled");
-    }
-
-    #[test]
-    fn retry_recovers_transient_panics_bit_for_bit() {
-        use crate::config::ChaosPlan;
-        let (g, t, _, _) = diamond_world();
-        let w = Weights::uniform(&g);
-        let tb = LowestAsnTieBreak;
-        let clean = Simulation::new(&g, &w, &tb, SimConfig::default()).run(&[t]);
-        // First attempt panics, the (default) single retry succeeds:
-        // the journaled commit must make the run indistinguishable
-        // from a healthy one.
-        let cfg = SimConfig {
-            chaos: Some(ChaosPlan {
-                dest: 3,
-                fail_attempts: 1,
-                ..ChaosPlan::default()
-            }),
-            ..SimConfig::default()
-        };
-        let recovered = Simulation::new(&g, &w, &tb, cfg).run(&[t]);
-        assert_eq!(recovered.completeness, 1.0);
-        assert!(recovered.quarantined.is_empty());
-        assert_eq!(recovered, clean);
+        let dest = AsId(3); // the multihomed stub
+        for threads in [1, 3] {
+            let cfg = SimConfig {
+                threads,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulation::new(&g, &w, &tb, cfg);
+            sim.plant = Some(Plant::Panic(dest));
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(&[t])))
+                .expect_err("a panicking destination task must fail the run");
+            let message = crate::supervise::panic_message(payload.as_ref());
+            assert!(
+                message.contains(&format!("destination {dest}")),
+                "threads={threads}: {message}"
+            );
+        }
     }
 
     #[test]
@@ -879,25 +800,21 @@ mod tests {
         // bit-identical to the unaudited run.
         assert_eq!(audited.final_state, clean.final_state);
         assert_eq!(audited.rounds, clean.rounds);
-        assert_eq!(audited.deadline_skipped, Vec::new());
     }
 
     #[test]
     fn chaos_corrupted_tree_is_flagged_by_self_check() {
-        use crate::config::ChaosPlan;
         let (g, t, _, _) = diamond_world();
         let w = Weights::uniform(&g);
         let tb = LowestAsnTieBreak;
         let cfg = SimConfig {
             self_check: 1.0,
-            chaos: Some(ChaosPlan {
-                dest: 3, // the multihomed stub: two providers → a real tiebreak set
-                corrupt_tree: true,
-                ..ChaosPlan::default()
-            }),
             ..SimConfig::default()
         };
-        let res = Simulation::new(&g, &w, &tb, cfg).run(&[t]);
+        let mut sim = Simulation::new(&g, &w, &tb, cfg);
+        // The multihomed stub: two providers → a real tiebreak set.
+        sim.plant = Some(Plant::CorruptTree(AsId(3)));
+        let res = sim.run(&[t]);
         assert_eq!(res.violations.len(), 1, "corruption deduped by destination");
         let v = &res.violations[0];
         assert_eq!(v.dest, AsId(3));
@@ -909,43 +826,6 @@ mod tests {
         // The corrupted contribution still flowed into the totals (the
         // checker observes, it does not veto) — but the run says so.
         assert!(res.self_checked > 0);
-    }
-
-    #[test]
-    fn expired_global_deadline_skips_destinations_honestly() {
-        let (g, t, _, _) = diamond_world();
-        let w = Weights::uniform(&g);
-        let tb = LowestAsnTieBreak;
-        let cfg = SimConfig {
-            deadline: Some(std::time::Instant::now()),
-            ..SimConfig::default()
-        };
-        let res = Simulation::new(&g, &w, &tb, cfg).run(&[t]);
-        assert_eq!(res.completeness, 0.0, "already-expired budget skips all");
-        assert_eq!(res.deadline_skipped.len(), g.len());
-        assert!(res.quarantined.is_empty(), "skipped, not faulted");
-        // The driver still terminates with a (vacuous) outcome.
-        assert!(matches!(res.outcome, Outcome::Stable { .. }));
-    }
-
-    #[test]
-    fn zero_task_deadline_quarantines_every_destination_as_timed_out() {
-        use crate::engine::TaskFault;
-        let (g, t, _, _) = diamond_world();
-        let w = Weights::uniform(&g);
-        let tb = LowestAsnTieBreak;
-        let cfg = SimConfig {
-            task_deadline: Some(std::time::Duration::ZERO),
-            ..SimConfig::default()
-        };
-        let res = Simulation::new(&g, &w, &tb, cfg).run(&[t]);
-        assert_eq!(res.completeness, 0.0);
-        assert_eq!(res.quarantined.len(), g.len());
-        for q in &res.quarantined {
-            assert_eq!(q.kind, TaskFault::TimedOut);
-            assert!(q.message.contains("soft deadline"), "{}", q.message);
-        }
-        assert!(res.deadline_skipped.is_empty());
     }
 
     /// The Appendix K.5 chicken gadget (as built in `sbgp-gadgets`):

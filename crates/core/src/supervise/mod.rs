@@ -41,7 +41,8 @@ pub use protocol::{
     write_frame, FromWorker, ToWorker, MAX_FRAME_BYTES,
 };
 pub use supervisor::{
-    run_sharded, run_supervised, serve_worker, serve_worker_until, ShardPolicy, ShardReport,
+    panic_message, run_sharded, run_supervised, serve_worker, serve_worker_until, ShardPolicy,
+    ShardReport,
 };
 pub use transport::{
     pipe_link, tcp_link, ChaosProfile, ChaosSchedule, FaultLedger, FrameRecv, FrameSend,

@@ -205,8 +205,10 @@ where
                                     return Err(SuperviseError::Worker { message });
                                 }
                                 Err(panic) => {
-                                    let message =
-                                        format!("unit {key:?} panicked: {}", panic_text(&panic));
+                                    let message = format!(
+                                        "unit {key:?} panicked: {}",
+                                        panic_message(&*panic)
+                                    );
                                     let _ = send(&FromWorker::Fatal {
                                         message: message.clone(),
                                     });
@@ -240,13 +242,17 @@ where
     }
 }
 
-fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
+/// Render a caught panic payload as text: a worker's report of the
+/// unit that panicked, and the serve daemon's record of a panicked job
+/// attempt. These process and job boundaries are where panics are
+/// caught; the simulation engine itself catches none.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
+    } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "opaque panic payload".to_string()
+        "non-string panic payload".to_string()
     }
 }
 

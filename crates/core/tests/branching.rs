@@ -149,8 +149,8 @@ impl Plan {
                 model: UtilityModel::Incoming,
                 ..base_config()
             },
-            // The differential audit makes the fault ledger non-trivial:
-            // a split child must inherit its parent's audit tally.
+            // The differential audit makes the self-check tally
+            // non-trivial: a split child must inherit its parent's.
             SimConfig {
                 tree_policy: TreePolicy {
                     stubs_prefer_secure: false,

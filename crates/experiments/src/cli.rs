@@ -39,19 +39,10 @@ pub struct Options {
     pub checkpoint_every: usize,
     /// Random link-failure rate applied to the topology (0 = intact).
     pub fail_links: f64,
-    /// Retries before a panicking per-destination task is quarantined.
-    pub max_retries: u32,
     /// Differential self-check sampling rate in [0, 1] (0 disables):
     /// the fraction of destinations replayed through the reference
     /// oracle each engine pass.
     pub self_check: f64,
-    /// Global wall-clock budget in seconds, as given on the command
-    /// line; see [`deadline_at`](Self::deadline_at) for the resolved
-    /// instant.
-    pub deadline_secs: Option<f64>,
-    /// Soft per-destination deadline in seconds; slow tasks are
-    /// quarantined as timed out instead of stalling a sweep.
-    pub task_deadline_secs: Option<f64>,
     /// Memory budget in MiB for the frozen-context routing atlas
     /// (`0` disables it; results are identical either way).
     pub ctx_cache_mb: usize,
@@ -95,9 +86,6 @@ pub struct Options {
     /// Per-unit lease in seconds: a worker holding units that makes no
     /// progress for this long is recycled even if it heartbeats.
     pub lease_secs: f64,
-    /// The global budget resolved against the wall clock at parse
-    /// time, so it spans every simulation the command runs.
-    pub deadline_at: Option<std::time::Instant>,
     /// `scenario`: (attacker, victim) pairs sampled per surface cell.
     pub pairs: usize,
     /// `scenario`: attack models to cross (`--attacks
@@ -141,10 +129,7 @@ impl Default for Options {
             resume: false,
             checkpoint_every: 0,
             fail_links: 0.0,
-            max_retries: 1,
             self_check: 0.0,
-            deadline_secs: None,
-            task_deadline_secs: None,
             ctx_cache_mb: 256,
             delta_projections: sbgp_core::DeltaMode::Auto,
             process_shards: 0,
@@ -157,7 +142,6 @@ impl Default for Options {
             disk_chaos: None,
             remote_floor: 1,
             lease_secs: 120.0,
-            deadline_at: None,
             pairs: 40,
             attacks: sbgp_routing::AttackModel::ALL.to_vec(),
             policies: vec![
@@ -216,12 +200,6 @@ impl Options {
         Ok(o)
     }
 
-    /// The soft per-destination deadline as a [`std::time::Duration`].
-    pub fn task_deadline(&self) -> Option<std::time::Duration> {
-        self.task_deadline_secs
-            .map(std::time::Duration::from_secs_f64)
-    }
-
     /// The durable-artifact store rooted at `base`: plain local disk,
     /// or — with `--disk-chaos` — local disk wrapped in the seeded
     /// fault-injection schedule. Every artifact writer (checkpoints,
@@ -242,8 +220,8 @@ impl Options {
     /// exact same values).
     ///
     /// Supervision-only knobs (`process-shards`, `kill-workers`,
-    /// `workers`, `net-chaos`, `resume`, checkpointing, the global
-    /// deadline) stay with the supervisor: workers just compute units.
+    /// `workers`, `net-chaos`, `resume`, checkpointing) stay with the
+    /// supervisor: workers just compute units.
     pub fn to_worker_config(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!("ases = {}\n", self.ases));
@@ -257,11 +235,7 @@ impl Options {
         }
         s.push_str(&format!("census = {}\n", self.census));
         s.push_str(&format!("fail-links = {}\n", self.fail_links));
-        s.push_str(&format!("max-retries = {}\n", self.max_retries));
         s.push_str(&format!("self-check = {}\n", self.self_check));
-        if let Some(td) = self.task_deadline_secs {
-            s.push_str(&format!("task-deadline = {td}\n"));
-        }
         s.push_str(&format!("ctx-cache-mb = {}\n", self.ctx_cache_mb));
         let delta = match self.delta_projections {
             sbgp_core::DeltaMode::On => "on",
@@ -311,19 +285,6 @@ impl Options {
                     .into(),
             );
         }
-        for (name, secs) in [
-            ("--deadline", self.deadline_secs),
-            ("--task-deadline", self.task_deadline_secs),
-        ] {
-            if let Some(s) = secs {
-                if !(s > 0.0 && s.is_finite()) {
-                    return Err(format!("{name} must be a positive number of seconds"));
-                }
-            }
-        }
-        self.deadline_at = self
-            .deadline_secs
-            .map(|s| std::time::Instant::now() + std::time::Duration::from_secs_f64(s));
         Ok(())
     }
 }
@@ -351,10 +312,7 @@ fn apply(o: &mut Options, key: &str, v: &str) -> Result<(), String> {
         "resume" => o.resume = num(key, v)?,
         "checkpoint-every" => o.checkpoint_every = num(key, v)?,
         "fail-links" => o.fail_links = num(key, v)?,
-        "max-retries" => o.max_retries = num(key, v)?,
         "self-check" => o.self_check = num(key, v)?,
-        "deadline" => o.deadline_secs = Some(num(key, v)?),
-        "task-deadline" => o.task_deadline_secs = Some(num(key, v)?),
         "ctx-cache-mb" => o.ctx_cache_mb = num(key, v)?,
         "process-shards" => o.process_shards = num(key, v)?,
         "kill-workers" => o.kill_workers = num(key, v)?,
@@ -476,8 +434,6 @@ mod tests {
         assert_eq!(o.theta, 0.05);
         assert!(!o.census);
         assert_eq!(o.self_check, 0.0);
-        assert!(o.deadline_at.is_none());
-        assert!(o.task_deadline().is_none());
     }
 
     #[test]
@@ -499,6 +455,16 @@ mod tests {
         assert!(Options::parse(&s(&["--ases"])).is_err());
         assert!(Options::parse(&s(&["--ases", "10"])).is_err());
         assert!(Options::parse(&s(&["positional"])).is_err());
+        // No retry or wall-clock budget: a round sums over every
+        // destination, or the run fails.
+        for (flag, v) in [
+            ("--max-retries", "1"),
+            ("--deadline", "5"),
+            ("--task-deadline", "5"),
+        ] {
+            let err = Options::parse(&s(&[flag, v])).unwrap_err();
+            assert_eq!(err, format!("unknown flag \"{flag}\""));
+        }
     }
 
     #[test]
@@ -509,14 +475,11 @@ mod tests {
             "3",
             "--fail-links",
             "0.05",
-            "--max-retries",
-            "2",
         ]))
         .unwrap();
         assert!(o.resume);
         assert_eq!(o.checkpoint_every, 3);
         assert_eq!(o.fail_links, 0.05);
-        assert_eq!(o.max_retries, 2);
     }
 
     #[test]
@@ -527,30 +490,14 @@ mod tests {
 
     #[test]
     fn parses_guard_rail_flags() {
-        let o = Options::parse(&s(&[
-            "--self-check",
-            "0.05",
-            "--deadline",
-            "120",
-            "--task-deadline",
-            "1.5",
-        ]))
-        .unwrap();
+        let o = Options::parse(&s(&["--self-check", "0.05"])).unwrap();
         assert_eq!(o.self_check, 0.05);
-        assert_eq!(o.deadline_secs, Some(120.0));
-        assert!(o.deadline_at.is_some());
-        assert_eq!(
-            o.task_deadline(),
-            Some(std::time::Duration::from_millis(1500))
-        );
     }
 
     #[test]
     fn rejects_bad_guard_rail_values() {
         assert!(Options::parse(&s(&["--self-check", "1.5"])).is_err());
         assert!(Options::parse(&s(&["--self-check", "-0.1"])).is_err());
-        assert!(Options::parse(&s(&["--deadline", "0"])).is_err());
-        assert!(Options::parse(&s(&["--task-deadline", "-3"])).is_err());
     }
 
     #[test]
@@ -648,8 +595,6 @@ mod tests {
             "0.07",
             "--self-check",
             "0.25",
-            "--task-deadline",
-            "1.5",
             "--out",
             "/tmp/sweep-out",
             "--delta-projections",
@@ -668,7 +613,6 @@ mod tests {
         assert_eq!(back.cp_fraction.to_bits(), o.cp_fraction.to_bits());
         assert_eq!(back.fail_links.to_bits(), o.fail_links.to_bits());
         assert_eq!(back.self_check.to_bits(), o.self_check.to_bits());
-        assert_eq!(back.task_deadline_secs, o.task_deadline_secs);
         assert_eq!(back.out, o.out);
         assert_eq!(back.delta_projections, o.delta_projections);
         // Supervision-only knobs must NOT propagate into workers.

@@ -191,8 +191,7 @@ const USAGE: &str = "repro — regenerate every table and figure of
 
 USAGE: repro <command> [--ases N] [--seed S] [--theta T] [--cp-fraction X]
              [--threads K] [--out DIR] [--census] [--config FILE]
-             [--resume] [--checkpoint-every N] [--fail-links R] [--max-retries N]
-             [--self-check RATE] [--deadline SECS] [--task-deadline SECS]
+             [--resume] [--checkpoint-every N] [--fail-links R] [--self-check RATE]
        repro doctor [--fix] <file-or-dir>...
        repro worker --listen ADDR [--port-file PATH]
        repro serve [--listen ADDR] [--port-file PATH] [--queue-bound N]
@@ -210,7 +209,6 @@ FAULT TOLERANCE
                         checkpoint (saves after units 1, 2, 4, 8, ... and at
                         the end); --resume reads both
   --fail-links R        degrade the topology: drop each link w.p. R (seeded)
-  --max-retries N       retries before a panicking task is quarantined
   --disk-chaos SPEC     seeded fault injection on every artifact-store
                         operation (checkpoints, journals, locks, CSVs);
                         SPEC is `eio=P,enospc=P,torn=P,crash=P,corrupt=P,
@@ -239,9 +237,6 @@ SELF-CHECKING
   --self-check RATE     replay this fraction of destinations through the
                         reference oracle; mismatches are shrunk to minimal
                         counterexample artifacts and reported, not fatal
-  --deadline SECS       global wall-clock budget; remaining destinations are
-                        skipped with an honest completeness fraction
-  --task-deadline SECS  quarantine any destination task slower than this
   --config FILE         load `key = value` options (later flags override)
 
 ADVERSARIAL SCENARIOS (scenario command)

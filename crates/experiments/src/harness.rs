@@ -262,8 +262,7 @@ impl SweepRunner {
 
     /// Run one unit: return the checkpointed result if `key` already
     /// completed, else compute it via `f`, record it, and persist when
-    /// the save cadence is due. Partial results (a quarantined
-    /// destination task) are reported but do not abort the sweep.
+    /// the save cadence is due.
     pub fn run(
         &mut self,
         key: String,
@@ -287,7 +286,7 @@ impl SweepRunner {
     ///
     /// A key the checkpoint already holds is dropped, not re-counted:
     /// a shard retried after a hard crash can complete twice, and
-    /// completeness/engine accounting must count unique units, not
+    /// unit and engine accounting must count unique units, not
     /// attempts.
     pub fn absorb_remote(
         &mut self,
@@ -301,33 +300,15 @@ impl SweepRunner {
         self.record(key.to_string(), result, stats)
     }
 
-    /// Shared bookkeeping for a freshly completed unit: integrity
-    /// warnings, self-check artifacts, engine counters, the journal
-    /// append (the durable write), and the amortised checkpoint save.
+    /// Shared bookkeeping for a freshly completed unit: self-check
+    /// artifacts, engine counters, the journal append (the durable
+    /// write), and the amortised checkpoint save.
     fn record(
         &mut self,
         key: String,
         result: SimResult,
         stats: &EngineStats,
     ) -> Result<(), ExperimentError> {
-        if result.completeness < 1.0 {
-            let dests: Vec<String> = result
-                .quarantined
-                .iter()
-                .map(|q| format!("{} ({} attempts: {})", q.dest, q.attempts, q.message))
-                .collect();
-            eprintln!(
-                "warning: unit {key:?} is partial (completeness {:.4}); quarantined: {}",
-                result.completeness,
-                dests.join("; ")
-            );
-        }
-        if !result.deadline_skipped.is_empty() {
-            eprintln!(
-                "warning: unit {key:?} skipped {} destination(s) past --deadline",
-                result.deadline_skipped.len()
-            );
-        }
         self.self_checked += result.self_checked;
         self.violations += result.violations.len();
         self.engine.absorb(stats);

@@ -127,34 +127,17 @@ pub fn case_study_config(opts: &Options) -> SimConfig {
         },
         max_rounds: 100,
         threads: opts.threads,
-        max_task_retries: opts.max_retries,
         self_check: opts.self_check,
-        task_deadline: opts.task_deadline(),
-        deadline: opts.deadline_at,
         ctx_cache_mb: opts.ctx_cache_mb,
         delta_projections: opts.delta_projections,
         ..SimConfig::default()
     }
 }
 
-/// Surface a single-run simulation's integrity ledger. Sweeps get
+/// Surface a single-run simulation's self-check tally. Sweeps get
 /// this (plus artifact dumps) from the harness; every other command
-/// calls this so a degraded run never masquerades as a complete one.
+/// calls this so a violation never goes unreported.
 pub fn report_integrity(res: &sbgp_core::SimResult) {
-    if res.completeness < 1.0 {
-        eprintln!(
-            "warning: run is partial (completeness {:.4}); {} destination task(s) quarantined",
-            res.completeness,
-            res.quarantined.len()
-        );
-    }
-    if !res.deadline_skipped.is_empty() {
-        eprintln!(
-            "warning: {} destination(s) skipped past --deadline; \
-             figures reflect only the work that fit the budget",
-            res.deadline_skipped.len()
-        );
-    }
     for v in &res.violations {
         eprintln!("SELF-CHECK VIOLATION: {}", v.detail);
     }

@@ -545,6 +545,12 @@ fn hostile_requests_get_typed_statuses_and_healthz_stays_live() {
         "oversize body: {answer:?}"
     );
 
+    // A wall-clock budget is not a job option: a result that depends
+    // on the machine's speed must never be cached under a content id.
+    let (st, _, body) = submit(&d.addr, "fig9", "ases = 150\\ndeadline = 0.001\\n");
+    assert_eq!(st, 400, "deadline config: {body}");
+    assert!(body.contains("bad config"), "{body}");
+
     let (answer, after) = drip.join().expect("drip thread");
     assert!(answer.starts_with("HTTP/1.1 408 "), "byte drip: {answer:?}");
     assert!(
